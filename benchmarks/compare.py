@@ -42,12 +42,6 @@ candidate:
   planner's cardinality estimates against the executor's actuals, so a
   worsened median means the cost model drifted from reality — a planner
   or statistics regression even when wall time hides it.
-* **server** — when the candidate carries a ``server`` section (PR 8's
-  concurrent-client load benchmark), its error count must be zero, its
-  prepared-program pipeline reuse must be verified, and at least 8
-  concurrent clients must have run; when the baseline ran the *same*
-  client load, the candidate's p50/p99 round-trip latencies are gated by
-  the wall tolerance (slack interpreted in milliseconds).
 
 Comparing a ``--quick`` file against a full-size one is refused (exit 2):
 the counters measure different inputs.  Exit 0 = clean, 1 = regression.
@@ -196,68 +190,6 @@ def compare_plan_quality(baseline: dict, candidate: dict,
     return problems, notes
 
 
-def compare_server(baseline: dict, candidate: dict,
-                   wall_tolerance: float,
-                   wall_slack: float) -> tuple[list[str], list[str]]:
-    """Latency/error gate for the ``server`` report sections.
-
-    Trajectory files before PR 8 have no ``server`` section; the
-    latency ceiling only engages when both sides ran the same client
-    load.  A candidate section with errors, an unverified
-    prepared-program reuse proof, or fewer than 8 clients fails on its
-    own, baseline or not — those are the acceptance invariants, not
-    perf comparisons.
-    """
-    problems: list[str] = []
-    notes: list[str] = []
-    cand = candidate.get("server")
-    base = baseline.get("server")
-    if base and not cand:
-        problems.append("server: baseline has a server section but "
-                        "candidate does not")
-    if not cand:
-        return problems, notes
-    if cand.get("errors"):
-        problems.append(
-            f"server: {cand['errors']} client error(s) "
-            f"(e.g. {'; '.join(cand.get('error_samples', [])[:2])})")
-    if not cand.get("prepared_reuse_verified"):
-        problems.append("server: prepared-program pipeline reuse not "
-                        "verified (pipelines_compiled != 0 on a "
-                        "prepared re-run)")
-    if (cand.get("clients") or 0) < 8:
-        problems.append(f"server: only {cand.get('clients')} concurrent "
-                        "client(s); the floor is 8")
-    if not base:
-        notes.append("server: new section in candidate (no baseline to "
-                     "gate latency against)")
-        return problems, notes
-    if (base.get("clients"), base.get("requests_per_client")) != \
-            (cand.get("clients"), cand.get("requests_per_client")):
-        notes.append("server: client load changed "
-                     f"{base.get('clients')}x"
-                     f"{base.get('requests_per_client')} -> "
-                     f"{cand.get('clients')}x"
-                     f"{cand.get('requests_per_client')}; latency "
-                     "ceiling not applied")
-        return problems, notes
-    for quantile in ("p50", "p99"):
-        base_ms = (base.get("latency_ms") or {}).get(quantile)
-        cand_ms = (cand.get("latency_ms") or {}).get(quantile)
-        if base_ms is None or cand_ms is None:
-            continue
-        limit = base_ms * wall_tolerance + wall_slack * 1000.0
-        if cand_ms > limit:
-            problems.append(
-                f"server: latency {quantile} {base_ms}ms -> {cand_ms}ms "
-                f"(limit {limit:.1f}ms = {wall_tolerance}x + "
-                f"{wall_slack * 1000:.0f}ms slack)")
-        else:
-            notes.append(f"server: latency {quantile} {base_ms}ms -> "
-                         f"{cand_ms}ms (limit {limit:.1f}ms)")
-    return problems, notes
-
-
 def compare(baseline: dict, candidate: dict,
             wall_tolerance: float = 2.0, wall_slack: float = 0.05,
             strict_digests: bool = False,
@@ -267,10 +199,6 @@ def compare(baseline: dict, candidate: dict,
             ) -> tuple[list[str], list[str]]:
     """Returns ``(problems, notes)`` for two loaded trajectory reports."""
     problems, notes = compare_memory(baseline, candidate, memory_tolerance)
-    server_problems, server_notes = compare_server(
-        baseline, candidate, wall_tolerance, wall_slack)
-    problems.extend(server_problems)
-    notes.extend(server_notes)
     quality_problems, quality_notes = compare_plan_quality(
         baseline, candidate, q_error_tolerance)
     problems.extend(quality_problems)

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Run every benchmark kernel under each engine/plan mode and record the
-perf trajectory.
+"""Run every benchmark kernel under each plan mode and record the perf
+trajectory.
 
 For each ``bench_*.py`` module this runner extracts one representative
-kernel, executes it under every (engine, plan) combination —
-``engine`` in (interp, batch) x ``plan`` in (greedy, cost) — and records
-wall time, join probes, fixpoint iterations and derived-tuple counts
-(where the kernel surfaces :class:`~repro.datalog.seminaive.EvalStats`)
-plus a canonical digest of the answer.  After timing, one extra untimed
+kernel, executes it under both plan modes (records keyed
+``batch/greedy`` and ``batch/cost``) and records wall time, join
+probes, fixpoint iterations and derived-tuple counts (where the kernel
+surfaces :class:`~repro.datalog.seminaive.EvalStats`) plus a canonical
+digest of the answer.  After timing, one extra untimed
 pass per kernel runs under an ambient :class:`TimingTracer`, so the
 ``batch/greedy`` record also carries a per-clause/per-stratum ``profile``
 and — where the batch executor captured per-stage estimates — a
@@ -21,13 +21,9 @@ trajectory files are compared for regressions by
 The report also carries a ``memory`` section — resident/logical
 bytes-per-tuple of the 1200-row Zipf workload under the columnar store,
 plus the pool interning ratio — which ``compare.py`` gates alongside the
-wall-time series (bytes/tuple must not regress more than 10%) — and a
-``server`` section from ``bench_server.py`` (concurrent-client p50/p99
-latency and throughput against the long-lived server; zero errors
-required).
-
-The run FAILS (exit 1) when the batch and interp engines disagree on any
-kernel's answer under the same plan — this is the CI smoke check.
+wall-time series (bytes/tuple must not regress more than 10%).  Serving
+latency is gated by the end-to-end ``serve`` workload
+(``benchmarks/e2e``), not here.
 
 Nondeterministic kernels (seeded ``one()`` sampling) embed their
 ID-choice log (see :mod:`repro.core.choicelog`) in the report under
@@ -57,12 +53,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-MODES = [("interp", "greedy"), ("interp", "cost"),
-         ("batch", "greedy"), ("batch", "cost")]
+#: Plan modes every kernel runs under; records are keyed ``batch/<plan>``.
+PLANS = ("greedy", "cost")
 
-#: The mode whose record carries the per-clause profile (the default
+#: The plan whose record carries the per-clause profile (the default
 #: production configuration).
-PROFILED_MODE = ("batch", "greedy")
+PROFILED_PLAN = "greedy"
 
 
 def canon(obj):
@@ -91,8 +87,8 @@ def stats_dict(stats):
 
 # ---------------------------------------------------------------------------
 # Scenario registry: one kernel per bench module.  Each builder returns a
-# callable kernel(plan, engine) -> (answer, stats-or-None); kernels whose
-# code path never reaches the semi-naive evaluator simply ignore the knobs
+# callable kernel(plan) -> (answer, stats-or-None); kernels whose code
+# path never reaches the semi-naive evaluator simply ignore the knob
 # (their numbers are flat across modes, which the JSON makes visible).
 # ---------------------------------------------------------------------------
 
@@ -100,8 +96,8 @@ def _a1(quick):
     m = importlib.import_module("bench_a1_seminaive")
     db = m.chain(60 if quick else 200)
 
-    def kernel(plan, engine):
-        result, stats = m.evaluate(m.TC, db, plan=plan, engine=engine)
+    def kernel(plan):
+        result, stats = m.evaluate(m.TC, db, plan=plan)
         return result.relation("path").frozen(), stats
     return kernel
 
@@ -111,8 +107,8 @@ def _a2(quick):
     db = m.db(3, 3 if quick else 4)
     from repro.core import IdlogEngine
 
-    def kernel(plan, engine):
-        eng = IdlogEngine(m.PROGRAM, plan=plan, engine=engine)
+    def kernel(plan):
+        eng = IdlogEngine(m.PROGRAM, plan=plan)
         return eng.answers(db, "pick"), None
     return kernel
 
@@ -122,8 +118,8 @@ def _a3(quick):
     from repro.datalog.engine import DatalogEngine
     db = m.forest(6, 8 if quick else 16, 6 if quick else 8)
 
-    def kernel(plan, engine):
-        result = DatalogEngine(m.TC, plan=plan, engine=engine).run(db)
+    def kernel(plan):
+        result = DatalogEngine(m.TC, plan=plan).run(db)
         return result.tuples("path"), result.stats
     return kernel
 
@@ -134,8 +130,8 @@ def _a4(quick):
     n = 20 if quick else 40
     inserts = 3 if quick else 8
 
-    def kernel(plan, engine):
-        eng = IncrementalEngine(m.TC, engine=engine)
+    def kernel(plan):
+        eng = IncrementalEngine(m.TC)
         eng.start(m.chain(n))
         for k in range(inserts):
             eng.add_fact("edge", (f"n{n + k}", f"n{n + k + 1}"))
@@ -148,7 +144,7 @@ def _a5(quick):
     from repro.datalog.topdown import TopDownEngine
     db = m.forest(6, 6 if quick else 12, 8)
 
-    def kernel(plan, engine):
+    def kernel(plan):
         return TopDownEngine(m.TC).query(db, "path(n0, Y)"), None
     return kernel
 
@@ -160,7 +156,7 @@ def _a6(quick):
     db = employees_db(50 if quick else 200, 5)
     agg = count_per_group("emp", 2, group=[2])
 
-    def kernel(plan, engine):
+    def kernel(plan):
         return frozenset(agg.compute(db)), None
     return kernel
 
@@ -170,7 +166,7 @@ def _a7(quick):
     from repro.datalog.counting import CountingEngine
     db = m.dense_db(4 if quick else 10)
 
-    def kernel(plan, engine):
+    def kernel(plan):
         eng = CountingEngine(m.HOP2)
         eng.start(db)
         return eng.relation("hop2"), None
@@ -181,7 +177,7 @@ def _e1(quick):
     m = importlib.import_module("bench_e1_idrelations")
     from repro.core.idrelations import count_id_functions
 
-    def kernel(plan, engine):
+    def kernel(plan):
         counts = tuple(count_id_functions(m.R_EXAMPLE1, m.G1, limit)
                        for limit in (None, 1, 2))
         return counts, None
@@ -195,8 +191,8 @@ def _e2(quick):
     n = 3 if quick else 5
     db = Database.from_facts({"person": [(f"p{i}",) for i in range(n)]})
 
-    def kernel(plan, engine):
-        eng = IdlogEngine(m.IDLOG, plan=plan, engine=engine)
+    def kernel(plan):
+        eng = IdlogEngine(m.IDLOG, plan=plan)
         return eng.answers(db, "man"), None
     return kernel
 
@@ -205,7 +201,7 @@ def _e3(quick):
     m = importlib.import_module("bench_e3_inflationary")
     from repro.inflationary import DLEngine
 
-    def kernel(plan, engine):
+    def kernel(plan):
         return DLEngine(m.EX3).answers(m.PEOPLE, "man"), None
     return kernel
 
@@ -216,8 +212,8 @@ def _e4(quick):
     from repro.core import IdlogEngine
     db = employees_db(4 if quick else 6, 3 if quick else 4)
 
-    def kernel(plan, engine, record=None, replay=None):
-        eng = IdlogEngine(m.IDLOG, plan=plan, engine=engine)
+    def kernel(plan, record=None, replay=None):
+        eng = IdlogEngine(m.IDLOG, plan=plan)
         if replay is not None:
             result = eng.replay(db, replay)
         else:
@@ -233,8 +229,8 @@ def _e5(quick):
     from repro.core import IdlogEngine
     db = employees_db(4 if quick else 8, 3 if quick else 4)
 
-    def kernel(plan, engine):
-        eng = IdlogEngine(m.IDLOG_TWO, plan=plan, engine=engine)
+    def kernel(plan):
+        eng = IdlogEngine(m.IDLOG_TWO, plan=plan)
         result = eng.run(db)
         return result.tuples("select_two_emp"), result.stats
     return kernel
@@ -247,8 +243,8 @@ def _e6(quick):
     rewrite = optimize(m.EX6, "q")
     db = m.chain_db(15 if quick else 30)
 
-    def kernel(plan, engine):
-        eng = IdlogEngine(rewrite.optimized, plan=plan, engine=engine)
+    def kernel(plan):
+        eng = IdlogEngine(rewrite.optimized, plan=plan)
         result = eng.run(db)
         return result.tuples("q"), result.stats
     return kernel
@@ -261,8 +257,8 @@ def _e7(quick):
     program = parse_program(m.EXISTS_JOIN)
     db = m.exists_db(15 if quick else 30)
 
-    def kernel(plan, engine):
-        result, stats = evaluate(program, db, plan=plan, engine=engine)
+    def kernel(plan):
+        result, stats = evaluate(program, db, plan=plan)
         return result.relation("q").frozen(), stats
     return kernel
 
@@ -273,8 +269,8 @@ def _e8(quick):
     from repro.core import IdlogEngine
     db = employees_db(8 if quick else 20, 4 if quick else 6)
 
-    def kernel(plan, engine):
-        eng = IdlogEngine(m.SELECT_TWO, plan=plan, engine=engine)
+    def kernel(plan):
+        eng = IdlogEngine(m.SELECT_TWO, plan=plan)
         result = eng.run(db)
         return result.tuples("select_two_emp"), result.stats
     return kernel
@@ -289,8 +285,8 @@ def _e9(quick):
     translated = choice_to_idlog(source)
     db = m.random_db(schema, random.Random(0))
 
-    def kernel(plan, engine):
-        eng = IdlogEngine(translated, plan=plan, engine=engine)
+    def kernel(plan):
+        eng = IdlogEngine(translated, plan=plan)
         return eng.answers(db, pred), None
     return kernel
 
@@ -305,7 +301,7 @@ def _e10(quick):
                                 count=5 if quick else 10, seed=13,
                                 max_rows=5))
 
-    def kernel(plan, engine):
+    def kernel(plan):
         return q_equivalent_on(result.original, result.optimized,
                                query, dbs), None
     return kernel
@@ -318,9 +314,8 @@ def _e11(quick):
     n = 3 if quick else 4
     db = Database.from_facts({"item": [(f"i{k}",) for k in range(n)]})
 
-    def kernel(plan, engine):
-        eng = IdlogEngine("pick(X) :- item[](X, 0).",
-                          plan=plan, engine=engine)
+    def kernel(plan):
+        eng = IdlogEngine("pick(X) :- item[](X, 0).", plan=plan)
         return eng.answers(db, "pick"), None
     return kernel
 
@@ -330,8 +325,8 @@ def _e12(quick):
     from repro.core import IdlogEngine
     db = m.people_db(3 if quick else 4)
 
-    def kernel(plan, engine):
-        eng = IdlogEngine(m.IDLOG, plan=plan, engine=engine)
+    def kernel(plan):
+        eng = IdlogEngine(m.IDLOG, plan=plan)
         return eng.answers(db, "man"), None
     return kernel
 
@@ -359,13 +354,13 @@ SCENARIOS = [
 ]
 
 
-def run_kernel(kernel, plan, engine, repeats, replay=None):
+def run_kernel(kernel, plan, repeats, replay=None):
     best = None
     answer = stats = None
     kwargs = {"replay": replay} if replay is not None else {}
     for _ in range(repeats):
         start = time.perf_counter()
-        answer, stats = kernel(plan, engine, **kwargs)
+        answer, stats = kernel(plan, **kwargs)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -385,10 +380,9 @@ def capture_choice_log(kernel, name, quick):
     """One untimed recording pass; the kernel's choice log as JSONL-able
     data (None for kernels that materialize no ID-relations)."""
     from repro.core.choicelog import ChoiceLog
-    engine, plan = PROFILED_MODE
     log = ChoiceLog(meta={"benchmark": name, "quick": quick,
-                          "mode": f"{engine}/{plan}"})
-    answer, _ = kernel(plan, engine, record=log)
+                          "mode": f"batch/{PROFILED_PLAN}"})
+    answer, _ = kernel(PROFILED_PLAN, record=log)
     log.set_answers({pred: answer for pred in kernel.answer_preds})
     return log.to_jsonable()
 
@@ -402,7 +396,7 @@ def load_replays(path):
             for name, data in report.get("choice_logs", {}).items()}
 
 
-def profile_kernel(kernel, plan, engine):
+def profile_kernel(kernel, plan):
     """One untimed pass under an ambient tracer; the per-clause profile
     and the plan-quality block, or ``(None, None)`` for kernels whose
     code path never reaches the evaluator.  ``plan_quality`` is None
@@ -411,7 +405,7 @@ def profile_kernel(kernel, plan, engine):
     from repro.datalog.trace import TimingTracer, use_tracer
     tracer = TimingTracer()
     with use_tracer(tracer):
-        kernel(plan, engine)
+        kernel(plan)
     if not tracer.profile.clauses:
         return None, None
     quality = tracer.profile.plan_quality()
@@ -469,10 +463,9 @@ def main(argv=None) -> int:
     replays = load_replays(args.replay_from) if args.replay_from else {}
 
     report = {"schema": 1, "quick": args.quick, "repeats": repeats,
-              "modes": [f"{e}/{p}" for e, p in MODES],
-              "benchmarks": {}, "speedup_batch_vs_interp": {},
-              "choice_logs": {}, "memory": memory_series(args.quick)}
-    disagreements = []
+              "modes": [f"batch/{plan}" for plan in PLANS],
+              "benchmarks": {}, "choice_logs": {},
+              "memory": memory_series(args.quick)}
 
     for name, build in SCENARIOS:
         if args.only and args.only not in name:
@@ -485,21 +478,20 @@ def main(argv=None) -> int:
         choice_capable = hasattr(kernel, "answer_preds")
         replay = replays.get(name) if choice_capable else None
         records = {}
-        for engine, plan in MODES:
-            key = f"{engine}/{plan}"
-            records[key] = run_kernel(kernel, plan, engine, repeats,
-                                      replay=replay)
+        for plan in PLANS:
+            key = f"batch/{plan}"
+            records[key] = run_kernel(kernel, plan, repeats, replay=replay)
             pinned = " (replayed)" if replay is not None else ""
             print(f"{name:28s} {key:14s} "
                   f"{records[key]['wall_s'] * 1000:9.2f} ms  "
                   f"probes={records[key].get('probes', '-')}{pinned}",
                   flush=True)
-        engine, plan = PROFILED_MODE
-        profile, plan_quality = profile_kernel(kernel, plan, engine)
+        profile, plan_quality = profile_kernel(kernel, PROFILED_PLAN)
+        profiled = records[f"batch/{PROFILED_PLAN}"]
         if profile is not None:
-            records[f"{engine}/{plan}"]["profile"] = profile
+            profiled["profile"] = profile
         if plan_quality is not None:
-            records[f"{engine}/{plan}"]["plan_quality"] = plan_quality
+            profiled["plan_quality"] = plan_quality
         if choice_capable:
             if replay is not None:
                 report["choice_logs"][name] = replays[name].to_jsonable()
@@ -508,31 +500,12 @@ def main(argv=None) -> int:
                     kernel, name, args.quick)
         report["benchmarks"][name] = records
 
-        for plan in ("greedy", "cost"):
-            interp, batch = records[f"interp/{plan}"], records[f"batch/{plan}"]
-            if interp["answer_digest"] != batch["answer_digest"]:
-                disagreements.append((name, plan))
-        interp_t = records["interp/greedy"]["wall_s"]
-        batch_t = records["batch/greedy"]["wall_s"]
-        report["speedup_batch_vs_interp"][name] = round(
-            interp_t / batch_t, 2) if batch_t > 0 else None
-
     if not args.only:
         # The storage micro-benchmark (tuple-store vs columnar) rides in
         # the same trajectory file; skipped under --only since it is not
         # an engine kernel.
         import bench_storage
         report["storage"] = bench_storage.run(quick=args.quick)
-        # The server load benchmark (concurrent clients over TCP, see
-        # bench_server.py) records p50/p99 latency and throughput into
-        # the same trajectory; compare.py gates its latencies and
-        # requires zero errors.
-        import bench_server
-        report["server"] = bench_server.run(quick=args.quick)
-        lat = report["server"]["latency_ms"]
-        print(f"{'server load':28s} {report['server']['clients']} clients  "
-              f"p50={lat['p50']}ms p99={lat['p99']}ms "
-              f"errors={report['server']['errors']}", flush=True)
 
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2) + "\n")
@@ -545,14 +518,6 @@ def main(argv=None) -> int:
             log_path = log_dir / f"{name}.choices.jsonl"
             ChoiceLog.from_jsonable(data).save(str(log_path))
             print(f"wrote {log_path}")
-    for name, ratio in sorted(report["speedup_batch_vs_interp"].items()):
-        print(f"  speedup (batch vs interp, greedy) {name:30s} {ratio}x")
-
-    if disagreements:
-        for name, plan in disagreements:
-            print(f"ENGINE DISAGREEMENT: {name} under plan={plan}",
-                  file=sys.stderr)
-        return 1
     return 0
 
 

@@ -60,9 +60,9 @@ and prints the answers exactly like ``run``.
 Scenario verification (see ``docs/SCENARIOS.md``): ``eval`` runs the
 built-in scenario suite — exact answer checks for deterministic queries,
 chi-square uniformity and choice-log stability for sampling ones —
-across the engine×plan matrix, and writes a schema-stamped JSON
-:class:`~repro.eval.EvalReport` (flushed in a ``finally:`` so a failed
-run still leaves a valid partial report).
+under both plan modes and against the reference oracle, and writes a
+schema-stamped JSON :class:`~repro.eval.EvalReport` (flushed in a
+``finally:`` so a failed run still leaves a valid partial report).
 """
 
 from __future__ import annotations
@@ -275,12 +275,12 @@ def _cmd_run(args, out) -> int:
 
     if program.has_choice():
         engine = ChoiceEngine(program)
-        if args.plan != "greedy" or args.engine != "batch":
-            print("(note: --plan/--engine apply to Datalog/IDLOG "
+        if args.plan != "greedy":
+            print("(note: --plan applies to Datalog/IDLOG "
                   "evaluation; the choice front end uses its own pipeline)",
                   file=out)
     else:
-        engine = IdlogEngine(program, plan=args.plan, engine=args.engine)
+        engine = IdlogEngine(program, plan=args.plan)
 
     scope = use_tracer(tracer) if tracer is not None \
         else contextlib.nullcontext()
@@ -386,7 +386,7 @@ def _cmd_profile(args, out) -> int:
     if program.has_choice():
         engine = ChoiceEngine(program)
     else:
-        engine = IdlogEngine(program, plan=args.plan, engine=args.engine)
+        engine = IdlogEngine(program, plan=args.plan)
 
     with use_tracer(tracer):
         if args.seed is not None:
@@ -447,7 +447,7 @@ def _cmd_stats(args, out) -> int:
     if program.has_choice():
         engine = ChoiceEngine(program)
     else:
-        engine = IdlogEngine(program, plan=args.plan, engine=args.engine)
+        engine = IdlogEngine(program, plan=args.plan)
     result = engine.run(db)
     report = result.database.stats()
     id_stats = [r.memory_stats() for r in result.id_relations.values()]
@@ -494,7 +494,7 @@ def _cmd_why(args, out) -> int:
     row = tuple(term.value for term in goal.args)
 
     db = _load_facts(args.facts)
-    engine = IdlogEngine(program, plan=args.plan, engine=args.engine)
+    engine = IdlogEngine(program, plan=args.plan)
     if args.seed is not None:
         result = engine.one(db, seed=args.seed)
     else:
@@ -523,14 +523,12 @@ def _cmd_eval(args, out) -> int:
                   file=out)
         return 0
 
-    engines = ("batch", "interp") if args.engine == "all" \
-        else (args.engine,)
     plans = ("greedy", "cost") if args.plan == "all" else (args.plan,)
     seeds = range(args.seeds) if args.seeds is not None else None
     progress = (lambda msg: print(f"  {msg}", file=sys.stderr)) \
         if args.progress else None
     runner = ScenarioRunner(
-        scenarios, engines=engines, plans=plans, seeds=seeds,
+        scenarios, plans=plans, seeds=seeds,
         differential=not args.no_differential, quick=args.quick,
         meta={"command": "repro-idlog eval"}, progress=progress)
 
@@ -557,7 +555,7 @@ def _cmd_serve(args, out) -> int:
     if args.no_tcp and not args.unix:
         raise ReproError("--no-tcp needs a --unix socket to listen on")
     config = ServerConfig(
-        plan=args.plan, engine=args.engine, workers=args.workers,
+        plan=args.plan, workers=args.workers,
         timeout_s=args.timeout, drain_s=args.drain,
         metrics_path=args.metrics, metrics_format=args.metrics_format,
         choice_log_dir=args.choice_log_dir,
@@ -607,8 +605,7 @@ def _cmd_connect(args, out) -> int:
         with open(args.program) as handle:
             source = handle.read()
         db = _load_facts(args.facts)
-        session = client.call("open_session", plan=args.plan,
-                              engine=args.engine)["session"]
+        session = client.call("open_session", plan=args.plan)["session"]
         try:
             if db.relation_names():
                 facts = {name: [list(row) for row in
@@ -749,7 +746,7 @@ def _plans_from_trace(args, out) -> int:
     rows = quality["clauses"]
     if not rows:
         print("  (no estimate-bearing clause executions in the trace — "
-              "the batch engine records them when tracing is on)",
+              "evaluations record them when tracing is on)",
               file=out)
         return 0
     median = quality["median_q_error"]
@@ -885,12 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--plan", choices=("greedy", "cost"), default="greedy",
                      help="body-literal planning: syntactic greedy order "
                           "or cost-based (cardinality-aware) order")
-    run.add_argument("--engine", choices=("batch", "interp"),
-                     default="batch",
-                     help="execution engine: compiled batch join pipelines "
-                          "(fast, default) or the tuple-at-a-time "
-                          "interpreter (reference oracle); both return "
-                          "identical relations and counters")
     run.add_argument("--stats", action="store_true",
                      help="print evaluation counters")
     run.add_argument("--profile", action="store_true",
@@ -925,9 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--plan", choices=("greedy", "cost"),
                          default="greedy",
                          help="body-literal planning mode to profile")
-    profile.add_argument("--engine", choices=("batch", "interp"),
-                         default="batch",
-                         help="execution engine to profile")
     profile.add_argument("--seed", type=int, default=None,
                          help="profile one() under this random seed "
                               "instead of the canonical run()")
@@ -942,8 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
     why.add_argument("-f", "--facts", help="facts file (ground clauses)")
     why.add_argument("--plan", choices=("greedy", "cost"),
                      default="greedy", help="body-literal planning mode")
-    why.add_argument("--engine", choices=("batch", "interp"),
-                     default="batch", help="execution engine")
     why.add_argument("--seed", type=int, default=None,
                      help="explain against the one() model drawn under "
                           "this seed instead of the canonical run()")
@@ -963,16 +949,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "reported from disk without loading relations")
     stats.add_argument("--plan", choices=("greedy", "cost"),
                        default="greedy", help="body-literal planning mode")
-    stats.add_argument("--engine", choices=("batch", "interp"),
-                       default="batch", help="execution engine")
     stats.add_argument("--json", action="store_true",
                        help="emit the report as JSON instead of text")
 
     eval_cmd = sub.add_parser(
         "eval",
         help="run the built-in scenario suite: exact + statistical "
-             "verification of sampling semantics across the engine×plan "
-             "matrix (see docs/SCENARIOS.md)")
+             "verification of sampling semantics under both plan modes "
+             "and against the reference oracle (see docs/SCENARIOS.md)")
     eval_cmd.add_argument("--out", metavar="FILE", default=None,
                           help="write the JSON eval report to FILE ('-' "
                                "for stdout); flushed in a finally: so a "
@@ -992,12 +976,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sampling seeds per statistical assertion "
                                "(default: per-scenario, >= 20; the "
                                "uniformity checks refuse fewer than 20)")
-    eval_cmd.add_argument("--engine", choices=("batch", "interp", "all"),
-                          default="all",
-                          help="restrict the engine axis of the matrix")
     eval_cmd.add_argument("--plan", choices=("greedy", "cost", "all"),
                           default="all",
-                          help="restrict the planner axis of the matrix")
+                          help="restrict the plan modes exercised")
     eval_cmd.add_argument("--no-differential", action="store_true",
                           help="skip the cross-combination differential "
                                "case")
@@ -1031,9 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--plan", choices=("greedy", "cost"),
                        default="greedy",
                        help="default planning mode for new sessions")
-    serve.add_argument("--engine", choices=("batch", "interp"),
-                       default="batch",
-                       help="default execution engine for new sessions")
     serve.add_argument("--metrics", metavar="FILE", default=None,
                        help="flush the metrics registry to FILE on "
                             "shutdown (in a finally:, so a killed server "
@@ -1092,9 +1070,6 @@ def build_parser() -> argparse.ArgumentParser:
     connect.add_argument("--plan", choices=("greedy", "cost"),
                          default="greedy",
                          help="planning mode for the session")
-    connect.add_argument("--engine", choices=("batch", "interp"),
-                         default="batch",
-                         help="execution engine for the session")
     connect.add_argument("--timeout", type=float, default=None,
                          help="per-request timeout in seconds (also the "
                               "socket timeout)")

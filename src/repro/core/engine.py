@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Union
 from ..datalog.ast import Atom, Program
 from ..datalog.database import Database, Relation
 from ..datalog.engine import EvalResult
-from ..datalog.executor import BATCH, BatchExecutor, check_engine_mode
+from ..datalog.executor import BatchExecutor
 from ..datalog.planner import ClausePlanner, check_plan_mode
 from ..datalog.seminaive import (EvalStats, RelationStore, evaluate_stratum,
                                  prepare_store)
@@ -212,12 +212,12 @@ class IdlogEngine:
         plan: Body-literal planning mode — ``"greedy"`` (purely syntactic)
             or ``"cost"`` (cardinality-aware, see
             :mod:`repro.datalog.planner`).
-        engine: Execution engine — ``"batch"`` (compiled set-oriented join
-            pipelines, see :mod:`repro.datalog.executor`) or ``"interp"``
-            (tuple-at-a-time reference interpreter).
         tracer: Optional span-event receiver (see
             :mod:`repro.datalog.trace`): :meth:`run`/:meth:`one` emit
-            eval/stratum/clause/ID-materialization spans to it.  Defaults
+            eval/stratum/clause/ID-materialization spans to it, and each
+            answer-set enumeration (:meth:`answers`,
+            :meth:`answer_relations`, :meth:`answer_probabilities`) is one
+            ``eval_start``/``eval_end`` pair around its branches.  Defaults
             to the ambient tracer installed by
             :func:`repro.datalog.trace.use_tracer`.
         persistent_caches: Keep one :class:`ClausePlanner` and one
@@ -235,7 +235,6 @@ class IdlogEngine:
     def __init__(self, program: Union[str, Program, IdlogProgram],
                  use_group_limits: bool = True,
                  plan: str = "greedy",
-                 engine: str = BATCH,
                  tracer: Optional[Tracer] = None,
                  persistent_caches: bool = False) -> None:
         if isinstance(program, IdlogProgram):
@@ -244,18 +243,13 @@ class IdlogEngine:
             self.compiled = IdlogProgram.compile(program)
         self.use_group_limits = use_group_limits
         self.plan = check_plan_mode(plan)
-        self.engine = check_engine_mode(engine)
         self.tracer = tracer
         self.persistent_caches = persistent_caches
         self._planner: Optional[ClausePlanner] = None
         self._executor: Optional[BatchExecutor] = None
 
-    def _make_executor(self, tracer: Optional[Tracer] = None,
-                       ) -> Optional[BatchExecutor]:
-        return BatchExecutor(tracer=tracer) if self.engine == BATCH else None
-
     def _pipeline_state(self, tracer: Optional[Tracer]
-                        ) -> tuple[ClausePlanner, Optional[BatchExecutor]]:
+                        ) -> tuple[ClausePlanner, BatchExecutor]:
         """The planner/executor pair for one evaluation.
 
         Fresh per call by default; with ``persistent_caches`` the same
@@ -264,13 +258,12 @@ class IdlogEngine:
         """
         if not self.persistent_caches:
             return (ClausePlanner(self.plan, tracer=tracer),
-                    self._make_executor(tracer))
+                    BatchExecutor(tracer=tracer))
         if self._planner is None:
             self._planner = ClausePlanner(self.plan, tracer=tracer)
-            self._executor = self._make_executor(tracer)
+            self._executor = BatchExecutor(tracer=tracer)
         self._planner.tracer = tracer
-        if self._executor is not None:
-            self._executor.tracer = tracer
+        self._executor.tracer = tracer
         return self._planner, self._executor
 
     @property
@@ -321,7 +314,7 @@ class IdlogEngine:
         if tracer is not None:
             start = perf_counter()
             tracer.emit(EV_EVAL_START, program=self.program.name,
-                        plan=self.plan, engine=self.engine,
+                        plan=self.plan,
                         strata=self.compiled.stratification.depth,
                         idlog=True)
         self._run_strata(store, stats, tracer)
@@ -360,7 +353,7 @@ class IdlogEngine:
                             if c.head.pred in stratum_heads)
             if clauses:
                 evaluate_stratum(clauses, stratum_heads, store, stats,
-                                 planner=planner, executor=executor,
+                                 executor, planner=planner,
                                  tracer=tracer, stratum=level)
 
     # -- answer-set enumeration --------------------------------------------
@@ -509,17 +502,32 @@ class IdlogEngine:
         # branch-independent.
         tracer = resolve_tracer(self.tracer)
         planner = ClausePlanner(self.plan, tracer=tracer)
-        executor = self._make_executor(tracer)
-        yield from self._branch(compiled, relations, heads, strata, 0,
-                                needed_per_stratum, budget, {},
-                                Fraction(1), planner, executor, tracer)
+        executor = BatchExecutor(tracer=tracer)
+        leaves = self._branch(compiled, relations, heads, strata, 0,
+                              needed_per_stratum, budget, {},
+                              Fraction(1), planner, executor, tracer)
+        if tracer is None:
+            yield from leaves
+            return
+        # The whole enumeration is one evaluation span, so a profile of an
+        # answers() call carries meta["wall_s"] like a run() does.
+        start = perf_counter()
+        tracer.emit(EV_EVAL_START, program=program.name, plan=self.plan,
+                    strata=compiled.stratification.depth, idlog=True,
+                    enumeration=True)
+        models = 0
+        for leaf in leaves:
+            models += 1
+            yield leaf
+        tracer.emit(EV_EVAL_END, program=program.name,
+                    wall_s=perf_counter() - start, models=models)
 
     def _branch(self, compiled: IdlogProgram,
                 relations: dict[str, Relation], heads: frozenset[str],
                 strata, k: int, needed_per_stratum, budget: list[int],
                 chosen: dict[tuple[str, Grouping], Relation],
                 weight: Fraction, planner: ClausePlanner,
-                executor: Optional[BatchExecutor],
+                executor: BatchExecutor,
                 tracer: Optional[Tracer] = None,
                 ) -> Iterator[tuple]:
         program = compiled.program
@@ -569,7 +577,7 @@ class IdlogEngine:
                 store.install(name, rel)
             if clauses:
                 evaluate_stratum(clauses, stratum_heads, store, stats,
-                                 planner=planner, executor=executor,
+                                 executor, planner=planner,
                                  tracer=tracer, stratum=k)
             yield from self._branch(compiled, branch_relations, heads,
                                     strata, k + 1, needed_per_stratum,

@@ -5,7 +5,6 @@ This package is the deterministic foundation the IDLOG core
 IDLOG is DATALOG with negation plus ID-predicates.
 """
 
-from . import algebra
 from .arith_defs import (ARITHMETIC_FROM_SUCC, arithmetic_db,
                          defined_arithmetic)
 from .ast import Atom, ChoiceAtom, Clause, Literal, Program, fact
@@ -15,8 +14,7 @@ from .builtins import builtin_names, builtin_spec, is_builtin_name
 from .database import (Database, Relation, relation_from_csv,
                        relation_to_csv)
 from .engine import DatalogEngine, EvalResult
-from .executor import (BATCH, ENGINE_MODES, INTERP, BatchExecutor,
-                       check_engine_mode)
+from .executor import BatchExecutor
 from .explain import explain_plan, explain_program
 from .planner import (COST, GREEDY, PLAN_MODES, ClausePlan, ClausePlanner,
                       LiteralEstimate, check_plan_mode, plan_body)
@@ -41,7 +39,7 @@ from .terms import (Const, RelationType, Sort, Term, Value, Var,
                     fresh_var_factory, parse_type, sort_of_value)
 
 __all__ = [
-    "algebra", "Finding", "lint",
+    "Finding", "lint",
     "Derivation", "Explainer", "explain_tuple", "format_tree",
     "ARITHMETIC_FROM_SUCC", "arithmetic_db", "defined_arithmetic",
     "explain_plan", "explain_program",
@@ -56,7 +54,7 @@ __all__ = [
     "builtin_names", "builtin_spec", "is_builtin_name",
     "Database", "Relation", "relation_from_csv", "relation_to_csv",
     "DatalogEngine", "EvalResult",
-    "BATCH", "ENGINE_MODES", "INTERP", "BatchExecutor", "check_engine_mode",
+    "BatchExecutor",
     "DependencyGraph", "Edge",
     "parse_atom", "parse_clause", "parse_program",
     "format_clause", "to_source",

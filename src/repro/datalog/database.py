@@ -15,10 +15,10 @@ indexes (also an ``array('q')``), and hash indexes map probe keys — a bare
 int code for single-position indexes, a code tuple otherwise — to lists of
 row indexes.  The batch executor (:mod:`repro.datalog.executor`) joins and
 projects over these codes end-to-end; the value-level API below (``add``,
-``match``, iteration, ``merge_rows``...) encodes on the way in and decodes
-on the way out, so every caller that speaks values — the tuple-at-a-time
-interpreter, ID-materialization, the ChoiceLog, provenance, the CLI —
-behaves exactly as it did over the old tuple-set storage.
+``match``, iteration...) encodes on the way in and decodes on the way out,
+so every caller that speaks values — the tuple-at-a-time
+``evaluate_clause``, ID-materialization, the ChoiceLog, provenance, the
+CLI — behaves exactly as it did over the old tuple-set storage.
 """
 
 from __future__ import annotations
@@ -51,70 +51,6 @@ def _table_cap(rows: int) -> int:
 
 _EMPTY_SLOT = -1
 _TOMBSTONE = -2
-
-
-class _IndexView(Mapping):
-    """Value-level adapter over a coded hash index.
-
-    :meth:`Relation.index_on` returns this so legacy callers keep seeing a
-    mapping ``key tuple -> matching rows`` while the underlying index
-    stores int codes and row numbers.  Lookups encode the key (a miss for
-    a never-seen constant is just an empty bucket) and decode matched rows
-    on the way out.
-    """
-
-    __slots__ = ("_relation", "_positions")
-
-    def __init__(self, relation: "Relation",
-                 positions: tuple[int, ...]) -> None:
-        self._relation = relation
-        self._positions = positions
-
-    def _index(self) -> dict:
-        return self._relation.index_on_coded(self._positions)
-
-    def _coded_key(self, key: tuple):
-        if len(key) != len(self._positions):
-            return None
-        coded = []
-        for value in key:
-            code = _POOL.try_encode(value)
-            if code is None:
-                return None
-            coded.append(code)
-        return coded[0] if len(coded) == 1 else tuple(coded)
-
-    def get(self, key, default=()):
-        coded = self._coded_key(key)
-        if coded is None:
-            return default
-        bucket = self._index().get(coded)
-        if not bucket:
-            return default
-        decode_row = self._relation._decode_row
-        return [decode_row(r) for r in bucket]
-
-    def __getitem__(self, key):
-        result = self.get(key, None)
-        if result is None:
-            raise KeyError(key)
-        return result
-
-    def __contains__(self, key) -> bool:
-        coded = self._coded_key(key)
-        return coded is not None and coded in self._index()
-
-    def __iter__(self):
-        decode = _POOL.decode
-        single = len(self._positions) == 1
-        for coded in self._index():
-            if single:
-                yield (decode(coded),)
-            else:
-                yield tuple(map(decode, coded))
-
-    def __len__(self) -> int:
-        return len(self._index())
 
 
 class CodedDelta:
@@ -319,7 +255,7 @@ class Relation:
 
     #: A bulk ``update`` at least this large (and bigger than half the
     #: current contents) drops existing indexes instead of maintaining them
-    #: row by row; ``index_on`` rebuilds lazily on the next probe.
+    #: row by row; the next probe rebuilds it lazily.
     BULK_REINDEX_THRESHOLD = 64
 
     def update(self, rows: Iterable[tuple[Value, ...]]) -> int:
@@ -335,31 +271,6 @@ class Relation:
                 and len(rows) * 2 > self._size):
             self._indexes.clear()
         return sum(1 for row in rows if self.add(row))
-
-    def merge_rows(self, rows: Iterable[tuple[Value, ...]]) -> list:
-        """Bulk-insert derived rows; returns the genuinely new ones in order.
-
-        The first new row is validated in full; the rest are trusted to
-        carry the same type.  That holds for the rows one clause firing
-        derives — every column is a constant or a variable bound from a
-        typed relation column or a builtin, so the row type is fixed per
-        firing — which is the only caller.  Indexes are maintained exactly
-        as :meth:`add` does.
-        """
-        fresh: list[tuple[Value, ...]] = []
-        encode = _POOL.encode
-        insert = self._insert_coded
-        validated = False
-        for row in rows:
-            if not validated:
-                # Rows already present passed validation when they were
-                # inserted, so checking them again is harmless — and this
-                # way every merge validates exactly one row.
-                self._check_row(row)
-                validated = True
-            if insert(tuple(map(encode, row))):
-                fresh.append(row)
-        return fresh
 
     def discard(self, row: tuple[Value, ...]) -> bool:
         """Remove a tuple if present; returns True when it was removed.
@@ -464,35 +375,6 @@ class Relation:
             self._indexes[positions] = index
         return index
 
-    def merge_coded(self, rows: Iterable[tuple[int, ...]]) -> list:
-        """Bulk-insert coded rows; returns the genuinely new ones in order.
-
-        The coded counterpart of :meth:`merge_rows` (the batch executor's
-        emit path): the first row's sorts are checked against the schema,
-        the rest are trusted.
-        """
-        fresh: list[tuple[int, ...]] = []
-        insert = self._insert_coded
-        first = True
-        for coded in rows:
-            if first:
-                first = False
-                if len(coded) != self.arity:
-                    raise SchemaError(
-                        f"coded tuple of arity {len(coded)} inserted into "
-                        f"relation of arity {self.arity}")
-                rowtype = tuple(map(_POOL.sort_of_code, coded))
-                if self._schema is None:
-                    self._schema = rowtype
-                elif rowtype != self._schema:
-                    raise SchemaError(
-                        f"coded tuple of type {format_type(rowtype)} "
-                        f"inserted into relation of type "
-                        f"{format_type(self._schema)}")
-            if insert(coded):
-                fresh.append(coded)
-        return fresh
-
     def extend_coded(self, rows: list) -> None:
         """Append coded rows known to be new and mutually distinct.
 
@@ -504,8 +386,8 @@ class Relation:
         When a membership table or index does exist it is maintained row
         by row, so the rows-known-new contract never corrupts reads.
 
-        Only the first row's sorts are validated (as :meth:`merge_rows`
-        does for values): one clause firing derives same-typed rows.
+        Only the first row's sorts are validated: one clause firing derives
+        same-typed rows.
         """
         if not rows:
             return
@@ -577,10 +459,6 @@ class Relation:
                     table[slot] = r
                     r += 1
 
-    def empty_like(self) -> "Relation":
-        """A fresh empty relation with the same arity and schema."""
-        return Relation(self.arity, self._schema)
-
     def drop_indexes(self) -> None:
         """Discard all hash indexes (they rebuild lazily on next probe).
 
@@ -592,10 +470,6 @@ class Relation:
         """
         self._indexes.clear()
 
-    def _decode_row(self, r: int) -> tuple[Value, ...]:
-        decode = _POOL.decode
-        return tuple(decode(col[r]) for col in self._columns)
-
     def _code_set(self) -> set[int]:
         """All distinct codes stored anywhere in the relation."""
         codes: set[int] = set()
@@ -604,17 +478,6 @@ class Relation:
         return codes
 
     # -- value-level reads ---------------------------------------------------
-
-    def index_on(self, positions: tuple[int, ...]) -> Mapping:
-        """A value-level view of the hash index on 0-based positions.
-
-        The underlying coded index is built (or reused); the view maps a
-        key tuple to the list of full tuples carrying that key, decoding
-        per lookup.
-        """
-        positions = tuple(positions)
-        self.index_on_coded(positions)
-        return _IndexView(self, positions)
 
     def match(self, pattern: tuple[Optional[Value], ...]) -> Iterator[tuple]:
         """Yield tuples matching a partial pattern (``None`` = wildcard).

@@ -14,7 +14,6 @@ from typing import Union
 from ..errors import SchemaError
 from .ast import Program
 from .database import Database, Relation
-from .executor import BATCH, check_engine_mode
 from .parser import parse_program
 from .planner import check_plan_mode
 from .safety import check_program
@@ -65,9 +64,6 @@ class DatalogEngine:
         plan: Body-literal planning mode — ``"greedy"`` (purely syntactic)
             or ``"cost"`` (cardinality-aware, see
             :mod:`repro.datalog.planner`).
-        engine: Execution engine — ``"batch"`` (compiled set-oriented join
-            pipelines, see :mod:`repro.datalog.executor`) or ``"interp"``
-            (tuple-at-a-time reference interpreter).
         tracer: Optional span-event receiver (see
             :mod:`repro.datalog.trace`); every :meth:`run` emits
             eval/stratum/clause spans to it.  Defaults to the ambient
@@ -76,7 +72,7 @@ class DatalogEngine:
 
     def __init__(self, program: Union[str, Program],
                  name: str = "program", plan: str = "greedy",
-                 engine: str = BATCH, tracer=None) -> None:
+                 tracer=None) -> None:
         if isinstance(program, str):
             program = parse_program(program, name=name)
         if program.has_choice():
@@ -88,7 +84,6 @@ class DatalogEngine:
         check_program(program)
         self.program = program
         self.plan = check_plan_mode(plan)
-        self.engine = check_engine_mode(engine)
         self.tracer = tracer
         self.stratification: Stratification = stratify(program)
 
@@ -105,7 +100,7 @@ class DatalogEngine:
         database, stats = evaluate(
             self.program, db, stratification=self.stratification,
             max_iterations=max_iterations, plan=self.plan,
-            engine=self.engine, tracer=self.tracer)
+            tracer=self.tracer)
         return EvalResult(database, stats)
 
     def query(self, db: Database, pred: str) -> frozenset[tuple]:

@@ -27,21 +27,20 @@ int-keyed indexes and extend rows straight out of the ``array('q')``
 columns, and anti-joins test coded membership — no Python-object hashing
 or equality anywhere on the hot path.  Only builtins decode: solvers
 compute over real values (arithmetic, comparisons), so their inputs are
-decoded per row and their outputs re-encoded.  :meth:`BatchExecutor
-.execute` decodes the derived head tuples for value-level callers; the
-semi-naive loop uses :meth:`BatchExecutor.execute_coded` and keeps codes
-all the way into relation storage.
+decoded per row and their outputs re-encoded.  The semi-naive loop calls
+:meth:`BatchExecutor.execute_coded` and keeps codes all the way into
+relation storage.
 
 Semi-naive deltas need no special machinery: the delta override at the
 forced-first position is just a different build side for the first join.
 
-**Probe accounting** intentionally matches the interpreter and the
-planner's cost model: one probe per bucket row touched on the probe side,
-with a floor of one probe per lookup — so an index probe that finds an
-empty bucket (or a scan of an empty relation) still costs one, and
-``EvalStats.probes`` is comparable across ``engine="interp"`` and
-``engine="batch"`` runs of the same plan.  The differential tests assert
-the counters are *equal*, not merely similar.
+**Probe accounting** intentionally matches the tuple-at-a-time
+:func:`~repro.datalog.seminaive.evaluate_clause` and the planner's cost
+model: one probe per bucket row touched on the probe side, with a floor of
+one probe per lookup — so an index probe that finds an empty bucket (or a
+scan of an empty relation) still costs one.  The differential tests assert
+the counters of a pipeline and of ``evaluate_clause`` on the same clause
+are *equal*, not merely similar.
 """
 
 from __future__ import annotations
@@ -49,14 +48,14 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..errors import EvaluationError, SchemaError
+from ..errors import EvaluationError
 from .ast import Atom, Clause, Literal
 from .builtins import builtin_spec
 from .database import Relation
 from .pool import GLOBAL_POOL
 from .pretty import format_clause, format_literal
 from .safety import order_body
-from .terms import Const, Value, Var
+from .terms import Const, Var
 from .trace import EV_PIPELINE_COMPILED
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids a cycle)
@@ -65,26 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids a cycle)
 
 _POOL = GLOBAL_POOL
 
-INTERP = "interp"
-BATCH = "batch"
-ENGINE_MODES = (INTERP, BATCH)
-
 #: A batch of binding rows.  The variable layout is implicit in the
 #: compiled pipeline; rows are tuples of constant codes, one slot per
 #: variable.
 Batch = list[tuple[int, ...]]
-
-
-def check_engine_mode(engine: str) -> str:
-    """Validate an ``engine=`` knob value, returning it unchanged.
-
-    Raises:
-        SchemaError: when ``engine`` is not one of :data:`ENGINE_MODES`.
-    """
-    if engine not in ENGINE_MODES:
-        raise SchemaError(
-            f"unknown engine mode {engine!r}; expected one of {ENGINE_MODES}")
-    return engine
 
 
 # -- compile-time argument classification -----------------------------------
@@ -381,7 +364,7 @@ def _compile_antijoin(literal: Literal, layout: dict[Var, int]) -> _Op:
     row_of = _tuple_fn(parts)
 
     def run(batch: Batch, relation: Relation, stats) -> Batch:
-        # Each membership test is one probe, exactly like the interpreter.
+        # Each membership test is one probe, exactly like ``evaluate_clause``.
         stats.probes += len(batch)
         contains = relation.contains_coded
         return [row for row in batch if not contains(row_of(row))]
@@ -423,7 +406,7 @@ def _compile_builtin(literal: Literal, layout: dict[Var, int]) -> _Op:
 
     # Positive builtin: build the partial argument tuple per row, consume
     # the solver's ground solutions, and re-check every position — bound
-    # positions because the interpreter's _match_args does, unbound
+    # positions because ``evaluate_clause``'s _match_args does, unbound
     # repeated variables because solvers only see the partial tuple.
     partial_parts: list[tuple[bool, object]] = []
     checks: list[tuple[bool, int, object]] = []  # (is_var, pos, payload)
@@ -660,9 +643,12 @@ class BatchExecutor:
                       ) -> list[tuple[int, ...]]:
         """All head tuples derivable from one clause, as coded rows.
 
-        The semi-naive hot path: derived rows stay in code space and flow
-        straight into :meth:`Relation.merge_coded`.  Accounting matches
-        :meth:`execute` exactly (it is the same computation).
+        The semi-naive hot path: derived rows stay in code space all the
+        way into relation storage.  ``delta``/``delta_index`` substitute the
+        delta relation for the body literal at that source position
+        (scheduled first).  Rows, ``probes`` and ``firings`` match
+        :func:`~repro.datalog.seminaive.evaluate_clause` on the same
+        clause and plan.
         """
         estimates = None
         if planner is not None:
@@ -771,21 +757,3 @@ class BatchExecutor:
         stats.firings += len(batch)
         head_of = pipeline.head_of
         return list(map(head_of, batch))
-
-    def execute(self, clause: Clause, store: "RelationStore",
-                stats: "EvalStats",
-                delta_index: Optional[int] = None,
-                delta: Optional[Relation] = None,
-                planner: Optional["ClausePlanner"] = None,
-                ) -> list[tuple[Value, ...]]:
-        """All head tuples derivable from one clause, as value tuples.
-
-        The contract matches ``list(seminaive.evaluate_clause(...))``:
-        same tuples, same ``probes``/``firings`` accounting, with
-        ``delta``/``delta_index`` substituting the delta relation for the
-        body literal at that source position (scheduled first).
-        """
-        decode_row = _POOL.decode_row
-        return [decode_row(coded) for coded in self.execute_coded(
-            clause, store, stats, delta_index=delta_index, delta=delta,
-            planner=planner)]

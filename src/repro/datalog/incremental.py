@@ -25,14 +25,15 @@ from ..errors import EvaluationError, SchemaError
 from .ast import Atom, Program
 from .database import Database, Relation
 from .parser import parse_program
-from .executor import BATCH, BatchExecutor, check_engine_mode
+from .executor import BatchExecutor
 from .planner import ClausePlanner
 from .safety import check_program
 from .seminaive import (EvalStats, RelationStore, evaluate_clause,
                         evaluate_stratum, prepare_store)
 from .stratify import stratify
 from .terms import Value
-from .trace import EV_INCREMENTAL, Tracer, resolve_tracer
+from .trace import (EV_EVAL_END, EV_EVAL_START, EV_INCREMENTAL, Tracer,
+                    resolve_tracer)
 
 
 def _has_negation(program: Program) -> bool:
@@ -54,23 +55,21 @@ class IncrementalEngine:
         3
         >>> sorted(engine.relation("path"))
         [('a', 'b'), ('a', 'c'), ('b', 'c')]
+
+    (Re-)materialization passes run as batch pipelines; delta propagation
+    and DRed re-derivation stay tuple-at-a-time — they probe alternative
+    derivations one tuple at a time by construction.
     """
 
     def __init__(self, program: Union[str, Program],
-                 tracer: Optional[Tracer] = None,
-                 engine: str = BATCH) -> None:
+                 tracer: Optional[Tracer] = None) -> None:
         if isinstance(program, str):
             program = parse_program(program)
         if program.has_choice():
             raise SchemaError("incremental maintenance is for Datalog/"
                               "IDLOG programs, not DATALOG^C")
         check_program(program)
-        check_engine_mode(engine)
         self.program = program
-        #: Engine for (re-)materialization passes.  Delta propagation and
-        #: DRed re-derivation stay tuple-at-a-time regardless — they probe
-        #: alternative derivations one tuple at a time by construction.
-        self.engine = engine
         self.stratification = stratify(program)
         #: True when insertions take the delta fast path.
         self.incremental = not _has_negation(program) \
@@ -92,13 +91,29 @@ class IncrementalEngine:
 
     def start(self, db: Database) -> None:
         """Materialize the program over ``db`` (copied; later insertions
-        do not touch the caller's database)."""
+        do not touch the caller's database).
+
+        With a tracer the whole call is one ``eval_start``/``eval_end``
+        pair, so a profile of it carries ``meta["wall_s"]``.
+        """
         self._base = db.copy()
         self.stats = EvalStats()
+        tracer = resolve_tracer(self.tracer)
+        if tracer is not None:
+            tracer.emit(EV_EVAL_START, program=self.program.name,
+                        plan="greedy",
+                        strata=self.stratification.depth)
         start = perf_counter()
         self._materialize()
+        wall_s = perf_counter() - start
         self._trace(op="materialize", incremental=self.incremental,
-                    wall_s=perf_counter() - start)
+                    wall_s=wall_s)
+        if tracer is not None:
+            stats = self.stats
+            tracer.emit(EV_EVAL_END, program=self.program.name,
+                        wall_s=wall_s, derived=stats.total_derived,
+                        probes=stats.probes, firings=stats.firings,
+                        iterations=stats.iterations)
 
     def _materialize(self) -> None:
         stats = EvalStats()
@@ -107,8 +122,7 @@ class IncrementalEngine:
         # (copied in start), mutating them via add_fact is fine.
         store = prepare_store(self.program, self._base, None, stats)
         planner = ClausePlanner("greedy", tracer=tracer)
-        executor = BatchExecutor(tracer=tracer) \
-            if self.engine == BATCH else None
+        executor = BatchExecutor(tracer=tracer)
         heads = self.program.head_predicates
         for level, stratum in enumerate(self.stratification.strata):
             stratum_heads = frozenset(stratum & heads)
@@ -116,7 +130,7 @@ class IncrementalEngine:
                             if c.head.pred in stratum_heads)
             if clauses:
                 evaluate_stratum(clauses, stratum_heads, store, stats,
-                                 planner=planner, executor=executor,
+                                 executor, planner=planner,
                                  tracer=tracer, stratum=level)
         self._store = store
         self.stats.merge(stats)

@@ -292,9 +292,9 @@ class MetricsRegistry:
 
     >>> registry = MetricsRegistry()
     >>> registry.counter("queries_total", "Queries served",
-    ...                  labels=("engine",)).labels(engine="batch").inc(3)
-    >>> registry.counter("queries_total", labels=("engine",)) \\
-    ...     .labels(engine="batch").value
+    ...                  labels=("plan",)).labels(plan="cost").inc(3)
+    >>> registry.counter("queries_total", labels=("plan",)) \\
+    ...     .labels(plan="cost").value
     3.0
     """
 
@@ -434,7 +434,7 @@ class MetricsTracer:
     * ``idlog_derived_tuples_total`` == ``stats.total_derived``
 
     summed over the evaluations the tracer saw (the acceptance invariant
-    ``tests/datalog/test_metrics.py`` asserts per engine x plan mode).
+    ``tests/datalog/test_metrics.py`` asserts per plan mode).
 
     Args:
         registry: Fold into an existing registry (shared across tracers /
@@ -449,7 +449,7 @@ class MetricsTracer:
         r, ns = self.registry, namespace
         self._evals = r.counter(
             f"{ns}_evaluations_total",
-            "Evaluations completed", labels=("engine", "plan"))
+            "Evaluations completed", labels=("plan",))
         self._eval_seconds = r.histogram(
             f"{ns}_evaluation_seconds", "Wall time per evaluation")
         self._probes = r.counter(
@@ -557,8 +557,7 @@ class MetricsTracer:
         elif kind == EV_EVAL_END:
             self._eval_seconds.observe(fields.get("wall_s", 0.0))
         elif kind == EV_EVAL_START:
-            self._evals.labels(engine=fields.get("engine", "?"),
-                               plan=fields.get("plan", "?")).inc()
+            self._evals.labels(plan=fields.get("plan", "?")).inc()
         elif kind == EV_INCREMENTAL:
             self._incremental.labels(op=fields.get("op", "?"),
                                      path=fields.get("path") or "-").inc()
@@ -603,7 +602,7 @@ class ProgressTracer:
     def emit(self, kind: str, **fields) -> None:
         if kind == EV_EVAL_START:
             bits = [f"{name}={fields[name]}"
-                    for name in ("program", "plan", "engine", "strata")
+                    for name in ("program", "plan", "strata")
                     if name in fields]
             self._write(f"[progress] eval start  {' '.join(bits)}")
         elif kind == EV_STRATUM_START:

@@ -7,6 +7,12 @@ builds IDLOG on (Theorem 1).  The evaluator is parameterized by an
 materialized ID-relations; plain Datalog evaluation passes no provider and
 rejects ID-atoms.
 
+Clauses run as compiled batch pipelines (:mod:`repro.datalog.executor`).
+:func:`evaluate_clause` is the tuple-at-a-time solver the maintenance and
+model-checking layers (counting, provenance, DRed, DL, DLV, stable models)
+build on, and :func:`evaluate_naive` — plain naive rounds of it — is the
+small reference evaluator the differential tests compare against.
+
 Instrumentation is first-class: every evaluation fills an :class:`EvalStats`
 with tuples derived per predicate, clause firings, and join probes — the
 quantities the Section 4 optimization experiments report.
@@ -22,7 +28,7 @@ from ..errors import EvaluationError
 from .ast import Atom, Clause, Literal, Program
 from .builtins import builtin_spec
 from .database import CodedDelta, Database, Relation
-from .executor import BATCH, BatchExecutor, check_engine_mode
+from .executor import BatchExecutor
 from .planner import ClausePlanner
 from .pretty import format_clause
 from .safety import order_body
@@ -49,15 +55,15 @@ class EvalStats:
         id_tuples: Tuples materialized into ID-relations.
         plans_built: Clause plans compiled (or re-costed) by the planner.
         plans_reused: Cache hits on previously compiled clause plans.
-        pipelines_compiled: Batch pipelines compiled by the batch executor
-            (zero under ``engine="interp"``).
+        pipelines_compiled: Batch pipelines compiled by the batch executor.
         pipelines_reused: Cache hits on previously compiled pipelines.
 
-    The probe counter is engine-independent by construction: the batch
+    The probe counter is the same quantity on every path: the batch
     executor charges one probe per bucket row touched on the probe side
-    with a floor of one per lookup — the same quantity the interpreter
-    counts and the planner estimates — so interp and batch runs of the
-    same plan report *equal* probes (asserted by the differential tests).
+    with a floor of one per lookup — exactly what :func:`evaluate_clause`
+    counts and the planner estimates, so a pipeline and the
+    tuple-at-a-time solver report *equal* probes for the same clause and
+    plan (asserted by the differential tests).
     """
 
     derived: dict[str, int] = field(default_factory=dict)
@@ -345,9 +351,9 @@ def _recursive_positions(clause: Clause,
 
 def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
                      store: RelationStore, stats: EvalStats,
+                     executor: BatchExecutor,
                      max_iterations: Optional[int] = None,
                      planner: Optional[ClausePlanner] = None,
-                     executor: Optional[BatchExecutor] = None,
                      tracer: Optional[Tracer] = None,
                      stratum: int = 0) -> None:
     """Run the least fixpoint of one stratum in place.
@@ -356,6 +362,8 @@ def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
     them must already be installed in ``store`` (possibly empty).
 
     Args:
+        executor: The evaluation's :class:`BatchExecutor`; clauses run as
+            its compiled (and cached) batch pipelines.
         max_iterations: Optional guard against diverging fixpoints (programs
             whose arithmetic derives unboundedly many facts, e.g.
             ``times(0, M, 0)`` for every M); when exceeded an
@@ -363,95 +371,70 @@ def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
         planner: Optional shared plan cache (and plan-mode selector);
             fixpoint rounds then reuse compiled per-(clause, delta-position)
             plans instead of re-deriving the literal order every round.
-        executor: Optional shared :class:`BatchExecutor`; clauses then run
-            as compiled batch pipelines instead of the tuple-at-a-time
-            interpreter (same answers, same counters, less constant cost).
         tracer: Optional span-event receiver (see
             :mod:`repro.datalog.trace`); ``None`` keeps the hot path
             completely uninstrumented.
         stratum: Stratum index carried on emitted events.
     """
-    deltas: dict[str, Relation] = {}
+    deltas: dict[str, list] = {}
     if tracer is not None:
         if planner is not None:
             planner.stratum = stratum
-        if executor is not None:
-            executor.stratum = stratum
+        executor.stratum = stratum
         stratum_start = perf_counter()
         tracer.emit(EV_STRATUM_START, stratum=stratum,
                     heads=tuple(sorted(heads)))
 
-    # With a batch executor the whole derive->merge->delta loop stays in
-    # code space: pipelines emit coded head rows, an evaluation-scoped
-    # `seen` set per head predicate dedups them at C speed, and both the
-    # relation and the delta take the fresh rows as plain column appends
-    # (no membership structure, no per-row probe).  The seen sets are the
-    # classic space-for-time working state of a bulk load: they live only
-    # for this stratum's fixpoint, so the *resident* footprint after
-    # evaluation is the columnar one.  The interpreter path below it is
-    # untouched value-level storage — that is what makes it the
-    # differential oracle.
-    coded = executor is not None
+    # The whole derive->merge->delta loop stays in code space: pipelines
+    # emit coded head rows, an evaluation-scoped `seen` set per head
+    # predicate dedups them at C speed, and both the relation and the
+    # delta take the fresh rows as plain column appends (no membership
+    # structure, no per-row probe).  The seen sets are the classic
+    # space-for-time working state of a bulk load: they live only for this
+    # stratum's fixpoint, so the *resident* footprint after evaluation is
+    # the columnar one.
     seen_sets: dict[str, set] = {}
-
-    def derive(clause: Clause, delta_index: Optional[int] = None,
-               delta: Optional[Relation] = None) -> list[tuple]:
-        if coded:
-            return executor.execute_coded(clause, store, stats,
-                                          delta_index=delta_index,
-                                          delta=delta, planner=planner)
-        return list(evaluate_clause(clause, store, stats,
-                                    delta_index=delta_index, delta=delta,
-                                    planner=planner))
 
     def emit(pred: str, rows: list) -> int:
         if not rows:
             return 0
         relation = store.relation(pred)
-        if coded:
-            seen = seen_sets.get(pred)
-            if seen is None:
-                seen = seen_sets[pred] = set(relation.coded_rows())
-            # seen.add returns None, so the `is None` arm both records the
-            # row and keeps it — a single C-speed pass that preserves
-            # first-derivation order (ordering must stay deterministic:
-            # downstream ID choices consume rows in derivation order).
-            add = seen.add
-            fresh = [row for row in rows
-                     if row not in seen and add(row) is None]
-            if not fresh:
-                return 0
-            relation.extend_coded(fresh)
-            stats.count_derived(pred, len(fresh))
-            delta = deltas.get(pred)
-            if delta is None:
-                deltas[pred] = fresh
-            else:
-                delta.extend(fresh)
-            return len(fresh)
-        fresh = relation.merge_rows(rows)
+        seen = seen_sets.get(pred)
+        if seen is None:
+            seen = seen_sets[pred] = set(relation.coded_rows())
+        # seen.add returns None, so the `is None` arm both records the row
+        # and keeps it — a single C-speed pass that preserves
+        # first-derivation order (ordering must stay deterministic:
+        # downstream ID choices consume rows in derivation order).
+        add = seen.add
+        fresh = [row for row in rows if row not in seen and add(row) is None]
         if not fresh:
             return 0
+        relation.extend_coded(fresh)
         stats.count_derived(pred, len(fresh))
         delta = deltas.get(pred)
         if delta is None:
-            delta = Relation(relation.arity)
-            deltas[pred] = delta
-        delta.merge_rows(fresh)
+            deltas[pred] = fresh
+        else:
+            delta.extend(fresh)
         return len(fresh)
 
     clause_text: dict[int, str] = {}  # format once per clause, not per fire
 
     def fire(clause: Clause, round_no: int,
              delta_index: Optional[int] = None,
-             delta: Optional[Relation] = None) -> None:
+             delta: Optional[CodedDelta] = None) -> None:
         if tracer is None:
-            emit(clause.head.pred, derive(clause, delta_index, delta))
+            emit(clause.head.pred, executor.execute_coded(
+                clause, store, stats, delta_index=delta_index, delta=delta,
+                planner=planner))
             return
         probes_before = stats.probes
         firings_before = stats.firings
         start = perf_counter()
-        rows = derive(clause, delta_index, delta)
+        rows = executor.execute_coded(clause, store, stats,
+                                      delta_index=delta_index, delta=delta,
+                                      planner=planner)
         wall_s = perf_counter() - start
         new = emit(clause.head.pred, rows)
         text = clause_text.get(id(clause))
@@ -464,7 +447,7 @@ def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
                     firings=stats.firings - firings_before,
                     new=new,
                     delta_size=len(delta) if delta is not None else None,
-                    stages=executor.last_stages if coded else None)
+                    stages=executor.last_stages)
 
     # Round 0: naive pass over every clause.  Derivations are buffered per
     # clause so a recursive clause never mutates a relation it is scanning.
@@ -475,7 +458,7 @@ def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
     recursive = [(c, _recursive_positions(c, heads)) for c in clauses]
     recursive = [(c, ps) for c, ps in recursive if ps]
 
-    if coded and recursive:
+    if recursive:
         # Indexes built on head relations during the naive pass would be
         # maintained on every delta-round append; drop them once — a
         # delta round that actually probes a head relation rebuilds its
@@ -493,12 +476,11 @@ def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
                     f"{max_iterations} rounds; the program may derive "
                     "unboundedly many facts through arithmetic")
             stats.iterations += 1
-            previous, deltas = deltas, {}
-            if coded:
-                # Wrap each pred's fresh-row list once per round so every
-                # clause consuming it shares lazily-built columns/indexes.
-                previous = {pred: CodedDelta(rows)
-                            for pred, rows in previous.items()}
+            # Wrap each pred's fresh-row list once per round so every
+            # clause consuming it shares lazily-built columns/indexes.
+            previous = {pred: CodedDelta(rows)
+                        for pred, rows in deltas.items()}
+            deltas = {}
             if tracer is not None:
                 tracer.emit(EV_ROUND, stratum=stratum, round=rounds,
                             deltas={p: len(r) for p, r in previous.items()})
@@ -554,7 +536,6 @@ def evaluate(program: Program, db: Database,
              stratification: Optional[Stratification] = None,
              max_iterations: Optional[int] = None,
              plan: str = "greedy",
-             engine: str = BATCH,
              tracer: Optional[Tracer] = None,
              ) -> tuple[Database, EvalStats]:
     """Evaluate a stratified program bottom-up (semi-naive).
@@ -569,11 +550,6 @@ def evaluate(program: Program, db: Database,
             fixpoints (see :func:`evaluate_stratum`).
         plan: ``"greedy"`` (the syntactic body order) or ``"cost"``
             (cardinality-aware ordering, see :mod:`repro.datalog.planner`).
-        engine: ``"batch"`` (compiled set-oriented join pipelines, see
-            :mod:`repro.datalog.executor`) or ``"interp"`` (the
-            tuple-at-a-time reference interpreter).  Both produce identical
-            relations and identical counters; ``interp`` is kept as the
-            differential oracle.
         tracer: Optional span-event receiver (see
             :mod:`repro.datalog.trace`); defaults to the ambient tracer
             installed by :func:`repro.datalog.trace.use_tracer`, else none.
@@ -582,27 +558,25 @@ def evaluate(program: Program, db: Database,
         The database of all relations (EDB views plus computed IDB) and the
         evaluation statistics.
     """
-    check_engine_mode(engine)
     tracer = resolve_tracer(tracer)
     strat = stratification or stratify(program)
     stats = EvalStats()
     store = prepare_store(program, db, id_provider, stats)
     planner = ClausePlanner(plan, tracer=tracer)
-    executor = BatchExecutor(tracer=tracer) if engine == BATCH else None
+    executor = BatchExecutor(tracer=tracer)
     heads = program.head_predicates
     if tracer is not None:
         start = perf_counter()
         tracer.emit(EV_EVAL_START, program=program.name, plan=plan,
-                    engine=engine, strata=strat.depth)
+                    strata=strat.depth)
     for level, stratum in enumerate(strat.strata):
         stratum_heads = frozenset(stratum & heads)
         clauses = tuple(c for c in program.clauses
                         if c.head.pred in stratum_heads)
         if clauses:
-            evaluate_stratum(clauses, stratum_heads, store, stats,
+            evaluate_stratum(clauses, stratum_heads, store, stats, executor,
                              max_iterations, planner=planner,
-                             executor=executor, tracer=tracer,
-                             stratum=level)
+                             tracer=tracer, stratum=level)
     if tracer is not None:
         tracer.emit(EV_EVAL_END, program=program.name,
                     wall_s=perf_counter() - start,
@@ -613,83 +587,29 @@ def evaluate(program: Program, db: Database,
 
 def evaluate_naive(program: Program, db: Database,
                    id_provider: Optional[IdProvider] = None,
-                   plan: str = "greedy",
-                   engine: str = BATCH,
-                   tracer: Optional[Tracer] = None,
                    ) -> tuple[Database, EvalStats]:
-    """Naive-iteration evaluation (reference implementation for tests).
+    """The reference evaluator: naive rounds of :func:`evaluate_clause`.
 
-    Repeats full passes over each stratum's clauses until nothing new is
-    derived.  Slower than :func:`evaluate` but trivially correct; the test
-    suite cross-checks the two on random programs.
+    Deliberately small and independent of the production path — no
+    planner, no batch executor, no tracer.  Each stratum repeats full
+    passes over its clauses, every body in the syntactic
+    :func:`~repro.datalog.safety.order_body` order, until no relation
+    grows.  Slower than :func:`evaluate` but trivially correct; the
+    differential tests compare :func:`evaluate` (and the IDLOG engine)
+    against it on random programs.
     """
-    check_engine_mode(engine)
-    tracer = resolve_tracer(tracer)
-    strat = stratify(program)
     stats = EvalStats()
     store = prepare_store(program, db, id_provider, stats)
-    planner = ClausePlanner(plan, tracer=tracer)
-    executor = BatchExecutor(tracer=tracer) if engine == BATCH else None
-    heads = program.head_predicates
-    if tracer is not None:
-        start = perf_counter()
-        tracer.emit(EV_EVAL_START, program=program.name, plan=plan,
-                    engine=engine, strata=strat.depth, naive=True)
-    for level, stratum in enumerate(strat.strata):
-        stratum_heads = frozenset(stratum & heads)
-        clauses = tuple(c for c in program.clauses
-                        if c.head.pred in stratum_heads)
-        if not clauses:
-            continue
-        if tracer is not None:
-            planner.stratum = level
-            if executor is not None:
-                executor.stratum = level
-            stratum_start = perf_counter()
-            tracer.emit(EV_STRATUM_START, stratum=level,
-                        heads=tuple(sorted(stratum_heads)))
-        changed = True
-        rounds = 0
+    for stratum in stratify(program).strata:
+        clauses = [c for c in program.clauses if c.head.pred in stratum]
+        changed = bool(clauses)
         while changed:
             changed = False
-            rounds += 1
             stats.iterations += 1
             for clause in clauses:
-                if tracer is not None:
-                    probes_before = stats.probes
-                    firings_before = stats.firings
-                    clause_start = perf_counter()
-                if executor is not None:
-                    rows = executor.execute(clause, store, stats,
-                                            planner=planner)
-                else:
-                    rows = list(evaluate_clause(clause, store, stats,
-                                                planner=planner))
-                new = 0
-                for row in rows:
-                    if store.relation(clause.head.pred).add(row):
+                relation = store.relation(clause.head.pred)
+                for row in list(evaluate_clause(clause, store, stats)):
+                    if relation.add(row):
                         stats.count_derived(clause.head.pred)
-                        new += 1
                         changed = True
-                if tracer is not None:
-                    tracer.emit(
-                        EV_CLAUSE_FIRE, clause=format_clause(clause),
-                        stratum=level, round=rounds - 1, delta_index=None,
-                        wall_s=perf_counter() - clause_start,
-                        probes=stats.probes - probes_before,
-                        firings=stats.firings - firings_before,
-                        new=new, delta_size=None,
-                        stages=executor.last_stages
-                        if executor is not None else None)
-        if tracer is not None:
-            tracer.emit(
-                EV_STRATUM_END, stratum=level, rounds=rounds,
-                wall_s=perf_counter() - stratum_start,
-                cardinalities={pred: len(store.relation(pred))
-                               for pred in sorted(stratum_heads)})
-    if tracer is not None:
-        tracer.emit(EV_EVAL_END, program=program.name,
-                    wall_s=perf_counter() - start,
-                    derived=stats.total_derived, probes=stats.probes,
-                    firings=stats.firings, iterations=stats.iterations)
     return store.as_database(db.udomain | program.u_constants()), stats

@@ -373,8 +373,7 @@ class ClauseProfile:
     variant); ``rows`` the head tuples produced (duplicates included,
     i.e. firings) and ``new`` the tuples that were actually novel.
     ``pipelines_compiled`` counts batch-pipeline compilations for the
-    clause; cache hits are therefore ``calls - pipelines_compiled`` when
-    the batch engine is on.
+    clause; cache hits are therefore ``calls - pipelines_compiled``.
 
     Plan quality: when the batch executor captured per-stage estimates
     (``clause_fire`` events carrying ``stages``), ``est_probes`` /
@@ -403,7 +402,7 @@ class ClauseProfile:
 
     @property
     def pipeline_hits(self) -> int:
-        """Pipeline-cache hits (meaningful under the batch engine)."""
+        """Pipeline-cache hits."""
         return max(0, self.calls - self.pipelines_compiled)
 
     @property
@@ -511,7 +510,7 @@ class Profile:
         the server's ``plans`` aggregate carry: per-clause q-errors
         sorted worst-first plus the median/max/misestimate/drift
         roll-up the compare.py gate consumes.  Clauses that never ran
-        with estimate capture (interp engine, tracing off) are absent.
+        with estimate capture (tracing off) are absent.
         """
         rows = []
         for c in self.clause_rows():
@@ -645,7 +644,7 @@ class TimingTracer:
             for pred, size in fields.get("cardinalities", {}).items():
                 stratum.cardinalities[pred] = size
         elif kind == EV_EVAL_START:
-            for name in ("program", "plan", "engine"):
+            for name in ("program", "plan"):
                 if name in fields:
                     profile.meta[name] = fields[name]
         elif kind == EV_EVAL_END:
@@ -689,7 +688,7 @@ def format_profile(profile: Profile,
     over the calls, ``q-err`` the worst probe/stage-cardinality q-error
     (``!`` flags a misestimate at or past
     :data:`MISESTIMATE_THRESHOLD`; ``-`` means no estimates were
-    captured, e.g. under the interp engine), ``plan`` the planning mode
+    captured), ``plan`` the planning mode
     (with the estimated probe cost when the cost planner produced one),
     ``pipelines`` the batch pipeline compilations ``+`` cache hits.
 
@@ -700,7 +699,7 @@ def format_profile(profile: Profile,
     """
     meta = profile.meta
     header_bits = []
-    for name in ("program", "plan", "engine"):
+    for name in ("program", "plan"):
         if name in meta:
             header_bits.append(f"{name}={meta[name]}")
     if "wall_s" in meta:
@@ -746,8 +745,9 @@ def format_profile(profile: Profile,
                 plan = f"{plan}:{row.plan_cost:.0f}"
             est_probes = f"{row.est_probes:.0f}" \
                 if row.estimated_calls else "-"
-            # No compile event means no batch pipeline ever ran this
-            # clause (interp engine), so "hits" would be meaningless.
+            # No compile event means the clause's pipelines were compiled
+            # before tracing began (a prepared engine's cache), so the
+            # split is unknown.
             pipelines = f"{row.pipelines_compiled}+{row.pipeline_hits}" \
                 if row.pipelines_compiled else "-"
             cells = (str(row.calls), _ms(row.wall_s), str(row.probes),

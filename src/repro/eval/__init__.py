@@ -6,7 +6,7 @@ instead.  A :class:`Scenario` bundles a program, a seeded workload, and
 typed assertions — exact answer predicates for deterministic queries,
 chi-square uniformity and choice-log stability for sampling ones, perf
 envelopes for both — and :class:`ScenarioRunner` executes suites across
-the engine×plan matrix into schema-stamped JSON :class:`EvalReport`\\ s.
+both plan modes into schema-stamped JSON :class:`EvalReport`\\ s.
 
 Surface: ``repro-idlog eval`` (CLI), :func:`builtin_suite` (the shipped
 scenarios), ``docs/SCENARIOS.md`` (the assertion vocabulary).
@@ -15,7 +15,7 @@ scenarios), ``docs/SCENARIOS.md`` (the assertion vocabulary).
 from .report import (REPORT_KIND, AssertionResult, CaseResult, EvalReport,
                      format_report)
 from .runner import QUICK_SEEDS, ScenarioRunner, run_suite
-from .scenario import (DEFAULT_SEEDS, ENGINES, PLANS, AnswerInvariant,
+from .scenario import (DEFAULT_SEEDS, PLANS, AnswerInvariant,
                        AnswerSetEquals, Assertion, ChoiceStability,
                        ExactAnswer, GroupCardinality, PerfEnvelope,
                        Scenario, ScenarioContext, SelectionSpec,
@@ -25,7 +25,7 @@ from .stats import (ChiSquareResult, chi_square_sf, chi_square_statistic,
 from .suite import builtin_suite
 
 __all__ = [
-    "REPORT_KIND", "QUICK_SEEDS", "DEFAULT_SEEDS", "ENGINES", "PLANS",
+    "REPORT_KIND", "QUICK_SEEDS", "DEFAULT_SEEDS", "PLANS",
     "Assertion", "AssertionResult", "AnswerInvariant", "AnswerSetEquals",
     "CaseResult", "ChiSquareResult", "ChoiceStability", "EvalReport",
     "ExactAnswer", "GroupCardinality", "PerfEnvelope", "Scenario",

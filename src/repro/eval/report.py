@@ -24,7 +24,7 @@ REPORT_KIND = "eval_report"
 
 @dataclass(frozen=True)
 class AssertionResult:
-    """Outcome of one assertion on one (scenario, engine, plan) case.
+    """Outcome of one assertion on one (scenario, plan) case.
 
     Attributes:
         name: The assertion's label, e.g. ``uniform-selection``.
@@ -48,14 +48,13 @@ class AssertionResult:
 
 @dataclass
 class CaseResult:
-    """One scenario evaluated under one engine×plan combination.
+    """One scenario evaluated under one plan mode.
 
-    ``engine="matrix"``/``plan="differential"`` marks the synthetic case
-    the runner emits for the cross-combination differential check.
+    ``plan="differential"`` marks the synthetic case the runner emits for
+    the differential check against the reference model.
     """
 
     scenario: str
-    engine: str
     plan: str
     assertions: list[AssertionResult] = field(default_factory=list)
     wall_s: float = 0.0
@@ -67,8 +66,8 @@ class CaseResult:
         return self.error is None and all(a.passed for a in self.assertions)
 
     def as_dict(self) -> dict:
-        return {"scenario": self.scenario, "engine": self.engine,
-                "plan": self.plan, "passed": self.passed,
+        return {"scenario": self.scenario, "plan": self.plan,
+                "passed": self.passed,
                 "wall_s": round(self.wall_s, 6), "error": self.error,
                 "assertions": [a.as_dict() for a in self.assertions]}
 
@@ -156,9 +155,8 @@ class EvalReport:
         report.complete = bool(data.get("complete", False))
         for entry in data.get("cases", ()):
             case = CaseResult(
-                scenario=entry["scenario"], engine=entry["engine"],
-                plan=entry["plan"], wall_s=entry.get("wall_s", 0.0),
-                error=entry.get("error"))
+                scenario=entry["scenario"], plan=entry["plan"],
+                wall_s=entry.get("wall_s", 0.0), error=entry.get("error"))
             for a in entry.get("assertions", ()):
                 case.assertions.append(AssertionResult(
                     name=a["name"], passed=a["passed"],
@@ -178,12 +176,12 @@ def format_report(report: EvalReport, width: int = 72) -> str:
     lines = ["EVAL REPORT"]
     for case in report.cases:
         verdict = "ok" if case.passed else "FAIL"
-        label = f"{case.scenario} [{case.engine}/{case.plan}]"
+        label = f"{case.scenario} [{case.plan}]"
         n = len(case.assertions)
         lines.append(f"  {label.ljust(width - 22)[:width - 22]} "
                      f"{n:3d} assertion(s)  {verdict}")
     for case, assertion in report.failures():
-        lines.append(f"  FAIL {case.scenario} [{case.engine}/{case.plan}] "
+        lines.append(f"  FAIL {case.scenario} [{case.plan}] "
                      f"{assertion.name}: {assertion.detail}")
     s = report.summary()
     status = "PASS" if report.passed else "FAIL"

@@ -1,21 +1,20 @@
-"""The scenario runner: suites × the engine×plan matrix → EvalReports.
+"""The scenario runner: suites × the plan modes → EvalReports.
 
 :class:`ScenarioRunner` executes every scenario of a suite under every
-requested (engine, plan) combination, partitioning the assertion work
-the way the assertions themselves declare it:
+requested plan mode, partitioning the assertion work the way the
+assertions themselves declare it:
 
 * ``matrix=True`` assertions (exact answers, invariants, cardinality)
-  run on every combination — they are cheap and catch engine-specific
-  bugs;
+  run under every plan — they are cheap and catch plan-specific bugs;
 * ``matrix=False`` assertions (chi-square uniformity, choice stability,
-  perf envelopes) run once, on the primary combination, because their
-  cost scales with the seed count;
-* a synthetic **differential** case per scenario cross-checks the
-  combinations against each other: canonical answers must be identical
-  everywhere, and for non-deterministic programs one recorded
-  :class:`~repro.core.choicelog.ChoiceLog` must replay to identical
-  answers under every combination (digest-checked by the replay
-  machinery itself).
+  perf envelopes) run once, under the primary plan, because their cost
+  scales with the seed count;
+* a synthetic **differential** case per scenario cross-checks every plan
+  against the reference model (:func:`repro.testing.oracle_model`):
+  canonical answers must equal the oracle's, and for non-deterministic
+  programs one recorded :class:`~repro.core.choicelog.ChoiceLog` must
+  replay to identical answers under every plan and through the oracle
+  (digest-checked by the replay machinery itself).
 
 Reports flush to disk inside a ``finally:`` — a suite that dies halfway
 still leaves a valid, schema-stamped partial report, matching the
@@ -27,12 +26,11 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Optional, Sequence, TextIO, Union
 
-from ..datalog.executor import check_engine_mode
 from ..datalog.planner import check_plan_mode
 from ..errors import ReproError
+from ..testing import oracle_model
 from .report import AssertionResult, CaseResult, EvalReport
-from .scenario import (ENGINES, PLANS, Scenario, ScenarioContext,
-                       log_digest)
+from .scenario import PLANS, Scenario, ScenarioContext, log_digest
 
 #: Seeds used per statistical scenario in the quick profile.
 QUICK_SEEDS = 20
@@ -43,11 +41,10 @@ class ScenarioRunner:
 
     Args:
         scenarios: The suite.
-        engines: Engine modes to exercise (default both).
         plans: Planner modes to exercise (default both).
         seeds: Override the per-scenario sampling seeds (e.g. trimmed
             for a quick profile); None keeps each scenario's own.
-        differential: Emit the cross-combination differential case.
+        differential: Emit the differential case against the oracle.
         quick: Quick profile — skip scenarios tagged ``slow`` and trim
             seeds to :data:`QUICK_SEEDS` (unless ``seeds`` overrides).
         meta: Extra report metadata (suite name, CI job, ...).
@@ -56,7 +53,6 @@ class ScenarioRunner:
     """
 
     def __init__(self, scenarios: Sequence[Scenario],
-                 engines: Sequence[str] = ENGINES,
                  plans: Sequence[str] = PLANS,
                  seeds: Optional[Sequence[int]] = None,
                  differential: bool = True,
@@ -69,7 +65,6 @@ class ScenarioRunner:
             raise ReproError(
                 f"duplicate scenario name(s): {sorted(duplicates)}")
         self.scenarios = list(scenarios)
-        self.engines = tuple(check_engine_mode(e) for e in engines)
         self.plans = tuple(check_plan_mode(p) for p in plans)
         self.differential = differential
         self.quick = quick
@@ -94,7 +89,7 @@ class ScenarioRunner:
         """
         report = EvalReport(meta={
             **self.meta,
-            "engines": list(self.engines), "plans": list(self.plans),
+            "plans": list(self.plans),
             "quick": self.quick,
             "scenarios": [s.name for s in self._selected()],
         })
@@ -120,27 +115,24 @@ class ScenarioRunner:
         return self.seeds if self.seeds is not None else scenario.seeds
 
     def _run_scenario(self, scenario: Scenario, report: EvalReport) -> None:
-        primary = (self.engines[0], self.plans[0])
-        contexts: dict[tuple[str, str], ScenarioContext] = {}
-        for engine in self.engines:
-            for plan in self.plans:
-                ctx = ScenarioContext(scenario, engine=engine, plan=plan,
-                                      seeds=self._seeds_for(scenario))
-                contexts[(engine, plan)] = ctx
-                is_primary = (engine, plan) == primary
-                assertions = [
-                    a for a in scenario.assertions
-                    if a.matrix or is_primary]
-                report.add(self._run_case(scenario, ctx, assertions))
-                self._note(f"{scenario.name} [{engine}/{plan}] done")
-        if self.differential and len(contexts) > 1:
+        contexts: dict[str, ScenarioContext] = {}
+        for plan in self.plans:
+            ctx = ScenarioContext(scenario, plan=plan,
+                                  seeds=self._seeds_for(scenario))
+            contexts[plan] = ctx
+            is_primary = plan == self.plans[0]
+            assertions = [
+                a for a in scenario.assertions
+                if a.matrix or is_primary]
+            report.add(self._run_case(scenario, ctx, assertions))
+            self._note(f"{scenario.name} [{plan}] done")
+        if self.differential:
             report.add(self._differential_case(scenario, contexts))
             self._note(f"{scenario.name} [differential] done")
 
     def _run_case(self, scenario: Scenario, ctx: ScenarioContext,
                   assertions: Sequence) -> CaseResult:
-        case = CaseResult(scenario=scenario.name, engine=ctx.engine_mode,
-                          plan=ctx.plan_mode)
+        case = CaseResult(scenario=scenario.name, plan=ctx.plan_mode)
         start = perf_counter()
         try:
             for assertion in assertions:
@@ -150,12 +142,11 @@ class ScenarioRunner:
         case.wall_s = perf_counter() - start
         return case
 
-    # -- the cross-combination differential check --------------------------
+    # -- the differential check against the oracle -------------------------
 
     def _differential_case(self, scenario: Scenario,
                            contexts: dict) -> CaseResult:
-        case = CaseResult(scenario=scenario.name, engine="matrix",
-                          plan="differential")
+        case = CaseResult(scenario=scenario.name, plan="differential")
         start = perf_counter()
         try:
             case.assertions.append(
@@ -172,58 +163,56 @@ class ScenarioRunner:
 
     def _check_canonical_agreement(self, scenario: Scenario,
                                    contexts: dict) -> AssertionResult:
-        """Canonical answers must be identical across every combination."""
-        baseline_key = (self.engines[0], self.plans[0])
-        baseline = contexts[baseline_key].canonical()
-        for (engine, plan), ctx in contexts.items():
-            if (engine, plan) == baseline_key:
-                continue
+        """Every plan's canonical answers must equal the oracle's."""
+        any_ctx = next(iter(contexts.values()))
+        oracle, _ = oracle_model(any_ctx.engine.program, any_ctx.db)
+        for plan, ctx in contexts.items():
             result = ctx.canonical()
             for pred in scenario.queries:
-                if result.tuples(pred) != baseline.tuples(pred):
-                    delta = len(result.tuples(pred)
-                                ^ baseline.tuples(pred))
+                expected = oracle.relation(pred).frozen()
+                if result.tuples(pred) != expected:
+                    delta = len(result.tuples(pred) ^ expected)
                     return AssertionResult(
                         "differential-canonical", False,
-                        f"{engine}/{plan} disagrees with "
-                        f"{'/'.join(baseline_key)} on {pred} "
+                        f"{plan} disagrees with the oracle on {pred} "
                         f"({delta} differing tuple(s))",
-                        {"engine": engine, "plan": plan, "pred": pred})
+                        {"plan": plan, "pred": pred})
         return AssertionResult(
             "differential-canonical", True,
-            f"{len(contexts)} combination(s) agree on "
+            f"{len(contexts)} plan(s) agree with the oracle on "
             f"{len(scenario.queries)} predicate(s)",
-            {"combinations": len(contexts)})
+            {"plans": len(contexts)})
 
     def _check_replay_agreement(self, scenario: Scenario,
                                 contexts: dict) -> AssertionResult:
         """One recorded log must replay identically everywhere.
 
-        The replay provider digest-checks every block, so a combination
-        that reshapes an ID-relation's base fails loudly rather than
-        silently diverging.
+        The replay provider digest-checks every block, so a plan (or the
+        oracle) that reshapes an ID-relation's base fails loudly rather
+        than silently diverging.
         """
-        seed = self._seeds_for(scenario)[0] if self._seeds_for(scenario) \
-            else 0
-        primary_ctx = contexts[(self.engines[0], self.plans[0])]
+        seeds = self._seeds_for(scenario)
+        seed = seeds[0] if seeds else 0
+        primary_ctx = contexts[self.plans[0]]
         recorded, log = primary_ctx.record(seed)
         digest = log_digest(log)
-        for (engine, plan), ctx in contexts.items():
-            replayed = ctx.engine.replay(ctx.db, log)
+        replays = [(plan, ctx.engine.replay(ctx.db, log).database)
+                   for plan, ctx in contexts.items()]
+        replays.append(("oracle", oracle_model(
+            primary_ctx.engine.program, primary_ctx.db, log)[0]))
+        for who, model in replays:
             for pred in scenario.queries:
-                if replayed.tuples(pred) != recorded.tuples(pred):
+                if model.relation(pred).frozen() != recorded.tuples(pred):
                     return AssertionResult(
                         "differential-replay", False,
-                        f"{engine}/{plan} replayed the recorded choice "
-                        f"log to a different {pred} relation",
-                        {"engine": engine, "plan": plan, "pred": pred,
-                         "log_digest": digest})
+                        f"{who} replayed the recorded choice log to a "
+                        f"different {pred} relation",
+                        {"plan": who, "pred": pred, "log_digest": digest})
         return AssertionResult(
             "differential-replay", True,
             f"choice log {digest} replays identically under "
-            f"{len(contexts)} combination(s)",
-            {"combinations": len(contexts), "log_digest": digest,
-             "seed": seed})
+            f"{len(contexts)} plan(s) and the oracle",
+            {"plans": len(contexts), "log_digest": digest, "seed": seed})
 
 
 def run_suite(scenarios: Sequence[Scenario],

@@ -24,9 +24,9 @@ small typed vocabulary:
   counters.
 
 Assertions run against a :class:`ScenarioContext`, which lazily builds
-and caches the database, the engines of the engine×plan matrix, the
-canonical run, and the per-seed sample draws — so several assertions on
-one case share evaluations instead of re-running them.
+and caches the database, the engine of one plan mode, the canonical
+run, and the per-seed sample draws — so several assertions on one case
+share evaluations instead of re-running them.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from ..core.choicelog import ChoiceLog
 from ..core.engine import IdlogEngine
 from ..datalog.database import Database
 from ..datalog.engine import EvalResult
-from ..datalog.executor import BATCH, INTERP
 from ..errors import ReproError
 from .report import AssertionResult
 from .stats import selection_chi_square
 
-#: The engine×plan matrix a suite is exercised across.
-ENGINES = (BATCH, INTERP)
+#: The plan modes a suite is exercised across.
 PLANS = ("greedy", "cost")
 
 #: Default sampling seeds for statistical assertions (>= 20, per the
@@ -87,10 +85,10 @@ class Assertion:
 
     Attributes:
         name: Stable label used in reports.
-        matrix: Run this assertion on *every* engine×plan combination
-            (cheap checks); assertions with ``matrix=False`` run on the
-            primary combination only (statistical / perf checks whose
-            cost scales with seeds).
+        matrix: Run this assertion under *every* plan mode (cheap
+            checks); assertions with ``matrix=False`` run under the
+            primary plan only (statistical / perf checks whose cost
+            scales with seeds).
         statistical: Subject to the runner's ``--seeds`` trimming and
             the ``statistical`` pytest marker.
     """
@@ -144,13 +142,11 @@ class Scenario:
 
 
 class ScenarioContext:
-    """Cached evaluation state for one (scenario, engine, plan) case."""
+    """Cached evaluation state for one (scenario, plan) case."""
 
-    def __init__(self, scenario: Scenario, engine: str = BATCH,
-                 plan: str = "greedy",
+    def __init__(self, scenario: Scenario, plan: str = "greedy",
                  seeds: Optional[Sequence[int]] = None) -> None:
         self.scenario = scenario
-        self.engine_mode = engine
         self.plan_mode = plan
         self.seeds = tuple(seeds if seeds is not None else scenario.seeds)
         self._db: Optional[Database] = None
@@ -168,8 +164,7 @@ class ScenarioContext:
     def engine(self) -> IdlogEngine:
         if self._engine is None:
             self._engine = IdlogEngine(self.scenario.program,
-                                       plan=self.plan_mode,
-                                       engine=self.engine_mode)
+                                       plan=self.plan_mode)
         return self._engine
 
     def canonical(self) -> EvalResult:
@@ -500,7 +495,7 @@ class PerfEnvelope(Assertion):
 
 
 __all__ = [
-    "ENGINES", "PLANS", "DEFAULT_SEEDS", "Assertion", "AnswerInvariant",
+    "PLANS", "DEFAULT_SEEDS", "Assertion", "AnswerInvariant",
     "AnswerSetEquals", "ChoiceStability", "ExactAnswer", "GroupCardinality",
     "PerfEnvelope", "Scenario", "ScenarioContext", "SelectionSpec",
     "UniformSelection", "log_digest",

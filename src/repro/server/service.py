@@ -48,7 +48,6 @@ from typing import Optional
 from ..core import IdlogEngine
 from ..core.choicelog import ChoiceLog
 from ..datalog.database import Database
-from ..datalog.executor import check_engine_mode
 from ..datalog.metrics import MetricsRegistry, MetricsTracer
 from ..datalog.parser import parse_program
 from ..datalog.planner import check_plan_mode
@@ -71,7 +70,6 @@ class ServerConfig:
 
     Attributes:
         plan: Default planning mode for new sessions (``greedy``/``cost``).
-        engine: Default execution engine (``batch``/``interp``).
         workers: Worker-pool threads; also the bound on concurrently
             *executing* requests (excess requests queue).
         timeout_s: Default per-request timeout (None = unlimited);
@@ -107,7 +105,6 @@ class ServerConfig:
     """
 
     plan: str = "greedy"
-    engine: str = "batch"
     workers: int = 4
     timeout_s: Optional[float] = None
     drain_s: float = 5.0
@@ -123,7 +120,6 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         self.plan = check_plan_mode(self.plan)
-        self.engine = check_engine_mode(self.engine)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.metrics_format not in ("prom", "json"):
@@ -206,8 +202,7 @@ class PreparedProgram:
     reuse (not the parse) is what makes preparing worth a round trip.
     """
 
-    def __init__(self, name: str, source: str, plan: str,
-                 engine_mode: str, tracer) -> None:
+    def __init__(self, name: str, source: str, plan: str, tracer) -> None:
         program = parse_program(source, name=name)
         if program.has_choice():
             raise RequestError(
@@ -218,9 +213,8 @@ class PreparedProgram:
         self.name = name
         self.source = source
         self.plan = plan
-        self.engine_mode = engine_mode
-        self.engine = IdlogEngine(program, plan=plan, engine=engine_mode,
-                                  tracer=tracer, persistent_caches=True)
+        self.engine = IdlogEngine(program, plan=plan, tracer=tracer,
+                                  persistent_caches=True)
         self.uses = 0
 
     def describe(self) -> dict:
@@ -232,7 +226,6 @@ class PreparedProgram:
             "outputs": sorted(program.head_predicates),
             "inputs": sorted(program.input_predicates),
             "plan": self.plan,
-            "engine": self.engine_mode,
             "uses": self.uses,
         }
 
@@ -240,10 +233,9 @@ class PreparedProgram:
 class Session:
     """One client session: a private database plus prepared programs."""
 
-    def __init__(self, session_id: str, plan: str, engine_mode: str) -> None:
+    def __init__(self, session_id: str, plan: str) -> None:
         self.id = session_id
         self.plan = plan
-        self.engine_mode = engine_mode
         self.db = Database()
         self.udom: set[str] = set()
         self.programs: dict[str, PreparedProgram] = {}
@@ -474,11 +466,8 @@ class IdlogService:
                              context: RequestContext) -> dict:
         plan = field(request, "plan", str, required=False,
                      default=self.config.plan)
-        engine_mode = field(request, "engine", str, required=False,
-                            default=self.config.engine)
         try:
             plan = check_plan_mode(plan)
-            engine_mode = check_engine_mode(engine_mode)
         except Exception as exc:
             raise RequestError("bad_request", str(exc))
         with self._lock:
@@ -489,10 +478,10 @@ class IdlogService:
                     "close sessions before opening more")
             self._next_session += 1
             sid = f"s{self._next_session}"
-            self._sessions[sid] = Session(sid, plan, engine_mode)
+            self._sessions[sid] = Session(sid, plan)
         self.m_sessions.inc()
         self.m_sessions_total.inc()
-        return {"session": sid, "plan": plan, "engine": engine_mode}
+        return {"session": sid, "plan": plan}
 
     def _handle_close_session(self, request: dict,
                               context: RequestContext) -> dict:
@@ -565,7 +554,7 @@ class IdlogService:
             return existing
         self.m_prepared_cache.labels(result="miss").inc()
         prepared = PreparedProgram(display_name, source, session.plan,
-                                   session.engine_mode, self.tracer)
+                                   self.tracer)
         if existing is None:
             self.m_prepared.inc()
         session.programs[key] = prepared

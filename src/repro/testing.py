@@ -1,10 +1,11 @@
-"""Randomized program/database generators for differential testing.
+"""Randomized program/database generators and the reference model for
+differential testing.
 
 Exposed as library code (rather than test-internal helpers) so downstream
 users can fuzz their own extensions the way this repository's property
 tests do: generate a random stratified program, evaluate it under two
-implementations (semi-naive vs naive, original vs optimized, direct vs
-magic), and compare.
+implementations (the engine vs :func:`oracle_model`, original vs
+optimized, direct vs magic), and compare.
 
 Generation is *correct by construction* where cheap (stratification comes
 from a level discipline: a predicate's body only uses lower-or-equal
@@ -18,11 +19,81 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from .core.assignment import CanonicalAssignment
+from .core.choicelog import ChoiceLog
+from .core.engine import ReplayIdProvider, _StrategyIdProvider
+from .core.idrelations import enumerate_id_functions, make_id_relation
 from .datalog.ast import Atom, Clause, Literal, Program
 from .datalog.database import Database, Relation
 from .datalog.safety import check_clause
+from .datalog.seminaive import EvalStats, evaluate_naive
 from .datalog.terms import Const, Var
 from .errors import SafetyError
+
+
+def oracle_model(program: Program, db: Database,
+                 log: Optional[ChoiceLog] = None,
+                 ) -> tuple[Database, EvalStats]:
+    """The reference model of a (possibly IDLOG) program on ``db``.
+
+    :func:`~repro.datalog.seminaive.evaluate_naive` with ID-relations
+    drawn canonically and *without* the §4 tid-bound rewrite — so
+    comparing it with ``IdlogEngine.run`` also checks that the rewrite
+    preserves every head relation — or, with ``log``, re-applied from a
+    recorded :class:`~repro.core.choicelog.ChoiceLog` (the oracle side of
+    a record/replay differential check).
+    """
+    provider = ReplayIdProvider(log) if log is not None else \
+        _StrategyIdProvider(CanonicalAssignment(), {}, use_limits=False)
+    return evaluate_naive(program, db, provider)
+
+
+class _OdometerIds:
+    """ID-provider picking the ``choice[k]``-th ID-function for the k-th
+    (predicate, grouping) pair an evaluation materializes."""
+
+    def __init__(self, choice: list[int], sizes: list[int],
+                 limits: dict) -> None:
+        self.choice, self.sizes, self.limits = choice, sizes, limits
+        self.asked = 0
+
+    def materialize(self, pred, group, base, stats) -> Relation:
+        limit = self.limits.get((pred, group))
+        functions = list(enumerate_id_functions(base, group, limit))
+        k, self.asked = self.asked, self.asked + 1
+        if k == len(self.choice):
+            self.choice.append(0)
+            self.sizes.append(len(functions))
+        return make_id_relation(base, functions[self.choice[k]], limit)
+
+
+def oracle_answers(program: Program, db: Database, pred: str,
+                   limits: Optional[dict] = None,
+                   ) -> frozenset[frozenset[tuple]]:
+    """Every answer of ``pred``: the oracle model under each combination
+    of ID-functions.
+
+    A depth-first odometer over the (predicate, grouping) pairs in the
+    order :func:`~repro.datalog.seminaive.evaluate_naive` first reads
+    them — a pair's base depends only on the choices made before it, so
+    advancing the last pair and re-discovering the ones after it visits
+    every combination exactly once.  ``limits`` maps pairs to tid limits
+    (e.g. ``IdlogProgram.tid_limits``): one tid-prefix class per
+    combination instead of every full ID-function.
+    """
+    answers = set()
+    choice: list[int] = []
+    sizes: list[int] = []
+    while True:
+        model, _ = evaluate_naive(program, db,
+                                  _OdometerIds(choice, sizes, limits or {}))
+        answers.add(model.relation(pred).frozen())
+        while choice and choice[-1] + 1 == sizes[-1]:
+            choice.pop()
+            sizes.pop()
+        if not choice:
+            return frozenset(answers)
+        choice[-1] += 1
 
 
 def random_stratified_program(

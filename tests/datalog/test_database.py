@@ -174,7 +174,7 @@ class TestDiscard:
 
     def test_discard_then_add_round_trip(self):
         r = Relation(1, tuples=[("a",)])
-        r.index_on((0,))
+        r.index_on_coded((0,))
         r.discard(("a",))
         r.add(("a",))
         assert list(r.match(("a",))) == [("a",)]
@@ -182,8 +182,7 @@ class TestDiscard:
 
 class TestBulkPaths:
     """The trusted fast paths added for the batch executor: copy without
-    re-validation, merge_rows bulk insertion, and bulk-update index
-    invalidation."""
+    re-validation and bulk-update index invalidation."""
 
     def test_copy_preserves_schema_without_revalidation(self):
         r = Relation(2, tuples=[("a", 1), ("b", 2)])
@@ -201,31 +200,9 @@ class TestBulkPaths:
         with pytest.raises(SchemaError):
             clone.add(("u-value",))
 
-    def test_merge_rows_returns_only_new(self):
-        r = Relation(1, tuples=[("a",)])
-        fresh = r.merge_rows([("a",), ("b",), ("b",), ("c",)])
-        assert fresh == [("b",), ("c",)]
-        assert r.frozen() == {("a",), ("b",), ("c",)}
-
-    def test_merge_rows_maintains_existing_indexes(self):
-        r = Relation(2, tuples=[("a", "x")])
-        r.index_on((0,))
-        r.merge_rows([("a", "y"), ("b", "z")])
-        assert sorted(r.match(("a", None))) == [("a", "x"), ("a", "y")]
-        assert list(r.match(("b", None))) == [("b", "z")]
-
-    def test_merge_rows_validates_first_row(self):
-        r = Relation(2, tuples=[("a", "x")])
-        with pytest.raises(SchemaError):
-            r.merge_rows([("b",)])
-
-    def test_merge_rows_empty_input(self):
-        r = Relation(1, tuples=[("a",)])
-        assert r.merge_rows([]) == []
-
     def test_bulk_update_invalidates_then_rebuilds_indexes(self):
         r = Relation(1, tuples=[("a",)])
-        r.index_on((0,))
+        r.index_on_coded((0,))
         burst = [(f"v{i}",) for i in range(Relation.BULK_REINDEX_THRESHOLD)]
         added = r.update(burst)
         assert added == len(burst)
@@ -235,7 +212,7 @@ class TestBulkPaths:
 
     def test_small_update_keeps_indexes_live(self):
         r = Relation(1, tuples=[("a",)])
-        r.index_on((0,))
+        r.index_on_coded((0,))
         r.update([("b",), ("c",)])
         assert list(r.match(("b",))) == [("b",)]
 
@@ -243,7 +220,7 @@ class TestBulkPaths:
 class TestMemoryStats:
     def test_relation_shape(self):
         r = Relation(2, tuples=[("a", "x"), ("b", "y")])
-        r.index_on((0,))
+        r.index_on_coded((0,))
         report = r.memory_stats()
         assert report["rows"] == 2
         assert report["arity"] == 2
@@ -262,7 +239,7 @@ class TestMemoryStats:
         # fold must not double them when indexes alias the tuple set.
         r = Relation(2, tuples=[("a", "x")])
         no_index = r.memory_stats()["approx_bytes"]
-        r.index_on((0,))
+        r.index_on_coded((0,))
         with_index = r.memory_stats()["approx_bytes"]
         # The index adds dict/set/key overhead but NOT a second copy of
         # the tuples themselves (they are shared by identity).

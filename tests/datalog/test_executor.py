@@ -1,20 +1,28 @@
 """Unit tests for the batch-compiled join executor.
 
 The differential property tests (tests/test_property_random.py) cover
-whole-program agreement; these exercise the executor surface directly —
-single-clause pipelines against the tuple-at-a-time interpreter as the
-oracle — plus the engine-knob validation and pipeline-cache counters.
+whole-program agreement with the naive oracle; these exercise the
+executor surface directly — single-clause pipelines against the
+tuple-at-a-time ``evaluate_clause`` with equal rows, ``probes`` and
+``firings`` — plus the pipeline-cache counters.
 """
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datalog.ast import Atom
 from repro.datalog.database import Database, Relation
-from repro.datalog.executor import (BATCH, ENGINE_MODES, INTERP,
-                                    BatchExecutor, check_engine_mode)
+from repro.datalog.executor import BatchExecutor
 from repro.datalog.parser import parse_program
+from repro.datalog.planner import ClausePlanner
+from repro.datalog.pool import GLOBAL_POOL
 from repro.datalog.seminaive import (EvalStats, evaluate, evaluate_clause,
-                                     prepare_store)
-from repro.errors import EvaluationError, SchemaError
+                                     evaluate_naive, prepare_store)
+from repro.errors import EvaluationError
+from repro.testing import random_edb, random_stratified_program
 
 
 def single_clause(text):
@@ -23,61 +31,65 @@ def single_clause(text):
     return program, program.clauses[0]
 
 
-def run_both(text, facts, delta_index=None, delta=None):
-    """Execute one clause with the batch executor and the interpreter on
-    identical fresh stores; return (batch rows, interp rows, stats pair)."""
-    program, clause = single_clause(text)
-    db = Database.from_facts(facts) if facts else Database()
+def execute(clause, store, stats, **kwargs):
+    """The batch pipeline's head rows, decoded to values."""
+    return [GLOBAL_POOL.decode_row(row) for row in
+            BatchExecutor().execute_coded(clause, store, stats, **kwargs)]
+
+
+def run_clause_both(program, clause, db, delta_index=None, delta=None,
+                    plan=None):
+    """Execute one clause with the batch executor and ``evaluate_clause``
+    on identical fresh stores; return (batch rows, oracle rows, stats
+    pair)."""
     outputs = []
     stats_pair = []
-    for mode in ("batch", "interp"):
+    for batch in (True, False):
         stats = EvalStats()
         store = prepare_store(program, db, None, stats)
-        if mode == "batch":
-            rows = BatchExecutor().execute(
-                clause, store, stats,
-                delta_index=delta_index, delta=delta)
+        planner = ClausePlanner(plan) if plan is not None else None
+        kwargs = dict(delta_index=delta_index, delta=delta,
+                      planner=planner)
+        if batch:
+            rows = execute(clause, store, stats, **kwargs)
         else:
-            rows = list(evaluate_clause(
-                clause, store, stats,
-                delta_index=delta_index, delta=delta))
+            rows = list(evaluate_clause(clause, store, stats, **kwargs))
         outputs.append(sorted(rows))
         stats_pair.append(stats)
     return outputs[0], outputs[1], stats_pair
 
 
+def run_both(text, facts, delta_index=None, delta=None):
+    program, clause = single_clause(text)
+    db = Database.from_facts(facts) if facts else Database()
+    return run_clause_both(program, clause, db, delta_index, delta)
+
+
 class TestEngineKnob:
-    def test_modes(self):
-        assert set(ENGINE_MODES) == {INTERP, BATCH}
-
-    def test_check_engine_mode_passes_through(self):
-        assert check_engine_mode("batch") == BATCH
-        assert check_engine_mode("interp") == INTERP
-
-    def test_check_engine_mode_rejects_unknown(self):
-        with pytest.raises(SchemaError):
-            check_engine_mode("vectorized")
-
     def test_evaluate_rejects_unknown_engine(self):
+        """The retired ``engine=`` knob is an error, not silently
+        ignored: every evaluation runs batch pipelines."""
         program = parse_program("p(X) :- q(X).")
-        with pytest.raises(SchemaError):
+        with pytest.raises(TypeError):
             evaluate(program, Database.from_facts({"q": [("a",)]}),
-                     engine="nope")
+                     engine="batch")
 
 
 class TestAgainstInterpreter:
+    """Hand-picked clause shapes; the oracle is ``evaluate_clause``."""
+
     def test_simple_scan(self):
-        batch, interp, (bs, is_) = run_both(
+        batch, oracle, (bs, os_) = run_both(
             "p(X) :- q(X).", {"q": [("a",), ("b",)]})
-        assert batch == interp == [("a",), ("b",)]
-        assert bs.probes == is_.probes
+        assert batch == oracle == [("a",), ("b",)]
+        assert bs.probes == os_.probes
 
     def test_join(self):
-        batch, interp, (bs, is_) = run_both(
+        batch, oracle, (bs, os_) = run_both(
             "p(X, Z) :- e(X, Y), e(Y, Z).",
             {"e": [("a", "b"), ("b", "c"), ("b", "d")]})
-        assert batch == interp == [("a", "c"), ("a", "d")]
-        assert bs.probes == is_.probes
+        assert batch == oracle == [("a", "c"), ("a", "d")]
+        assert bs.probes == os_.probes
 
     def test_empty_relation_gives_empty_batch(self):
         program, clause = single_clause("p(X) :- q(X), r(X).")
@@ -86,56 +98,56 @@ class TestAgainstInterpreter:
         db.add_relation("r", Relation(1, tuples=[("a",)]))
         stats = EvalStats()
         store = prepare_store(program, db, None, stats)
-        assert BatchExecutor().execute(clause, store, stats) == []
+        assert execute(clause, store, stats) == []
         # The empty scan still charges its floor-of-one probe, and the
         # pipeline stops before probing r.
         assert stats.probes == 1
 
     def test_repeated_variable_in_atom(self):
-        batch, interp, _ = run_both(
+        batch, oracle, _ = run_both(
             "p(X) :- e(X, X).",
             {"e": [("a", "a"), ("a", "b"), ("c", "c")]})
-        assert batch == interp == [("a",), ("c",)]
+        assert batch == oracle == [("a",), ("c",)]
 
     def test_all_bound_literal(self):
         # After scanning q, every variable of r's atom is bound: the join
         # degenerates to an existence probe on the full-key index.
-        batch, interp, (bs, is_) = run_both(
+        batch, oracle, (bs, os_) = run_both(
             "p(X, Y) :- q(X, Y), r(X, Y).",
             {"q": [("a", "b"), ("c", "d")], "r": [("a", "b")]})
-        assert batch == interp == [("a", "b")]
-        assert bs.probes == is_.probes
+        assert batch == oracle == [("a", "b")]
+        assert bs.probes == os_.probes
 
     def test_constants_in_body_and_head(self):
-        batch, interp, _ = run_both(
+        batch, oracle, _ = run_both(
             "flag(yes) :- emp(N, toys).",
             {"emp": [("ann", "toys"), ("bob", "it")]})
-        assert batch == interp == [("yes",)]
+        assert batch == oracle == [("yes",)]
 
     def test_negation_filter(self):
-        batch, interp, (bs, is_) = run_both(
+        batch, oracle, (bs, os_) = run_both(
             "lone(X) :- node(X), not linked(X).",
             {"node": [("a",), ("b",)], "linked": [("a",)]})
-        assert batch == interp == [("b",)]
-        assert bs.probes == is_.probes
+        assert batch == oracle == [("b",)]
+        assert bs.probes == os_.probes
 
     def test_builtin_filter(self):
-        batch, interp, _ = run_both(
+        batch, oracle, _ = run_both(
             "small(X) :- val(X, N), N < 10.",
             {"val": [("a", 5), ("b", 15)]})
-        assert batch == interp == [("a",)]
+        assert batch == oracle == [("a",)]
 
     def test_builtin_generator_binds_new_variable(self):
-        batch, interp, _ = run_both(
+        batch, oracle, _ = run_both(
             "s(M) :- pair(A, B), M = A + B.",
             {"pair": [(1, 2), (10, 5)]})
-        assert batch == interp == [(3,), (15,)]
+        assert batch == oracle == [(3,), (15,)]
 
     def test_builtin_enumerating_multiple_solutions(self):
         # +(L, M, N) with only N bound enumerates all decompositions.
-        batch, interp, _ = run_both(
+        batch, oracle, _ = run_both(
             "p2(X, L, M) :- q(X, N), +(L, M, N).", {"q": [("a", 2)]})
-        assert batch == interp == [("a", 0, 2), ("a", 1, 1), ("a", 2, 0)]
+        assert batch == oracle == [("a", 0, 2), ("a", 1, 1), ("a", 2, 0)]
 
     def test_delta_override(self):
         program, clause = single_clause(
@@ -144,19 +156,11 @@ class TestAgainstInterpreter:
             "edge": [("a", "b"), ("b", "c")],
             "path": [("a", "b"), ("b", "c"), ("a", "c")]})
         delta = Relation(2, tuples=[("b", "c")])
-        outputs = []
-        for mode in ("batch", "interp"):
-            stats = EvalStats()
-            store = prepare_store(program, db, None, stats)
-            if mode == "batch":
-                rows = BatchExecutor().execute(
-                    clause, store, stats, delta_index=1, delta=delta)
-            else:
-                rows = list(evaluate_clause(
-                    clause, store, stats, delta_index=1, delta=delta))
-            outputs.append(sorted(rows))
+        batch, oracle, (bs, os_) = run_clause_both(
+            program, clause, db, delta_index=1, delta=delta)
         # Only derivations through the delta tuple ("b", "c").
-        assert outputs[0] == outputs[1] == [("a", "c")]
+        assert batch == oracle == [("a", "c")]
+        assert bs.probes == os_.probes
 
     def test_empty_delta_short_circuits(self):
         program, clause = single_clause(
@@ -165,8 +169,8 @@ class TestAgainstInterpreter:
                                   "path": [("a", "b")]})
         stats = EvalStats()
         store = prepare_store(program, db, None, stats)
-        rows = BatchExecutor().execute(
-            clause, store, stats, delta_index=1, delta=Relation(2))
+        rows = execute(clause, store, stats, delta_index=1,
+                       delta=Relation(2))
         assert rows == []
 
 
@@ -178,16 +182,9 @@ class TestPipelineCache:
         """)
         db = Database.from_facts(
             {"edge": [("a", "b"), ("b", "c"), ("c", "d")]})
-        _, stats = evaluate(program, db, engine="batch")
+        _, stats = evaluate(program, db)
         assert stats.pipelines_compiled >= 2
         assert stats.pipelines_reused >= 1
-
-    def test_interp_compiles_no_pipelines(self):
-        program = parse_program("p(X) :- q(X).")
-        db = Database.from_facts({"q": [("a",)]})
-        _, stats = evaluate(program, db, engine="interp")
-        assert stats.pipelines_compiled == 0
-        assert stats.pipelines_reused == 0
 
 
 class TestErrors:
@@ -203,3 +200,31 @@ class TestErrors:
         clause = Clause(Atom("p", (Var("X"),)), (neg, pos))
         with pytest.raises(EvaluationError):
             _Pipeline(clause, (neg, pos))
+
+
+class TestRandomClauses:
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from(("greedy", "cost")))
+    @settings(max_examples=40, deadline=None)
+    def test_pipeline_matches_evaluate_clause(self, seed, plan):
+        """Every clause of a random stratified program (negation +
+        builtins), plain and with each recursive literal read from a
+        delta: equal rows, probes and firings."""
+        program = random_stratified_program(
+            random.Random(seed), n_edb=3, n_idb=3, allow_builtins=True)
+        db, _ = evaluate_naive(
+            program, random_edb(program, random.Random(seed + 1)))
+        for clause in program.clauses:
+            variants = [(None, None)]
+            for i, literal in enumerate(clause.body):
+                atom = literal.atom
+                if isinstance(atom, Atom) and literal.positive \
+                        and atom.pred in program.head_predicates:
+                    variants.append((i, db.relation(atom.pred)))
+            for delta_index, delta in variants:
+                batch, oracle, (bs, os_) = run_clause_both(
+                    program, clause, db, delta_index, delta, plan)
+                where = (seed, plan, str(clause), delta_index)
+                assert batch == oracle, where
+                assert bs.probes == os_.probes, where
+                assert bs.firings == os_.firings, where

@@ -85,7 +85,7 @@ class TestRecordedActuals:
     def recorded(self, plan="cost"):
         tracer = TimingTracer()
         _, stats = evaluate(parse_program(SRC), chain_db(), plan=plan,
-                            engine="batch", tracer=tracer)
+                            tracer=tracer)
         return tracer.profile, stats
 
     def test_actual_annotations_present(self):

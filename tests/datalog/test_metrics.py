@@ -195,17 +195,15 @@ app_requests_total{verb="put"} 1
 
 
 class TestMetricsTracer:
-    MODES = [("interp", "greedy"), ("interp", "cost"),
-             ("batch", "greedy"), ("batch", "cost")]
-
-    @pytest.mark.parametrize("engine,plan", MODES)
-    def test_differential_and_exact_counters(self, engine, plan):
+    @pytest.mark.parametrize("plan", ["greedy", "cost"],
+                             ids=["batch-greedy", "batch-cost"])
+    def test_differential_and_exact_counters(self, plan):
         program = parse_program(STRATIFIED)
-        plain, _ = evaluate(program, graph_db(), plan=plan, engine=engine)
+        plain, _ = evaluate(program, graph_db(), plan=plan)
 
         tracer = MetricsTracer()
         traced, stats = evaluate(program, graph_db(), plan=plan,
-                                 engine=engine, tracer=tracer)
+                                 tracer=tracer)
         # Metrics-on must not perturb the evaluation...
         assert traced.snapshot() == plain.snapshot()
         # ...and the folded counters mirror EvalStats bit-for-bit.
@@ -233,8 +231,8 @@ class TestMetricsTracer:
         registry = tracer.registry
         assert registry.counter("idlog_probes_total").value == totals
         evals = registry.counter("idlog_evaluations_total",
-                                 labels=("engine", "plan"))
-        assert evals.labels(engine="batch", plan="greedy").value == 3.0
+                                 labels=("plan",))
+        assert evals.labels(plan="greedy").value == 3.0
 
     def test_labels_and_gauges_from_spans(self):
         tracer = MetricsTracer()
@@ -295,8 +293,8 @@ class TestMetricsTracer:
         evaluate(parse_program(STRATIFIED), graph_db(), tracer=a)
         evaluate(parse_program(STRATIFIED), graph_db(), tracer=b)
         assert registry.counter("idlog_evaluations_total",
-                                labels=("engine", "plan")) \
-            .labels(engine="batch", plan="greedy").value == 2.0
+                                labels=("plan",)) \
+            .labels(plan="greedy").value == 2.0
         custom = MetricsTracer(namespace="custom")
         evaluate(parse_program(STRATIFIED), graph_db(), tracer=custom)
         assert custom.registry.counter("custom_probes_total").value > 0
@@ -338,24 +336,17 @@ class TestPlanQualityMetrics:
     def test_batch_run_observes_q_errors(self):
         tracer = MetricsTracer()
         _, stats = evaluate(parse_program(STRATIFIED), graph_db(),
-                            engine="batch", tracer=tracer)
+                            tracer=tracer)
         histogram = tracer.registry.histogram(
             "idlog_plan_q_error").unlabeled()
-        # One q-error observation per clause execution under the batch
-        # engine (every compiled call carries its stage estimates).
+        # One q-error observation per clause execution (every compiled
+        # call carries its stage estimates).
         executions = tracer.registry.counter(
             "idlog_clause_executions_total", labels=("stratum",))
         total = sum(child.value
                     for _, child in executions.children())
         assert histogram.count == total > 0
         assert histogram.sum >= histogram.count  # every q-error >= 1
-
-    def test_interp_run_observes_none(self):
-        tracer = MetricsTracer()
-        evaluate(parse_program(STRATIFIED), graph_db(),
-                 engine="interp", tracer=tracer)
-        assert tracer.registry.histogram(
-            "idlog_plan_q_error").unlabeled().count == 0
 
     def test_misestimate_counter_labeled_by_head_predicate(self):
         tracer = MetricsTracer()

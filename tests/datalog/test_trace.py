@@ -4,7 +4,7 @@ Three properties matter:
 
 1. event streams have the documented shape and ordering;
 2. tracing is observation only — results and counters are identical
-   with tracing on or off, on every engine;
+   with tracing on or off, under every plan;
 3. the profile fold and its table rendering agree with the raw
    counters.
 """
@@ -150,23 +150,22 @@ class TestEventStream:
 class TestTracingIsPure:
     """Tracing on vs off: identical relations and identical counters."""
 
-    def assert_same(self, plan, engine):
+    def assert_same(self, plan):
         program = parse_program(STRATIFIED)
-        plain_db, plain_stats = evaluate(program, graph_db(),
-                                         plan=plan, engine=engine)
+        plain_db, plain_stats = evaluate(program, graph_db(), plan=plan)
         tracer = CallbackTracer()
         traced_db, traced_stats = evaluate(program, graph_db(), plan=plan,
-                                           engine=engine, tracer=tracer)
+                                           tracer=tracer)
         for pred in ("path", "lone"):
             assert plain_db.relation(pred).frozen() \
                 == traced_db.relation(pred).frozen()
         assert plain_stats == traced_stats
         assert tracer.events  # the traced run did emit
 
-    @pytest.mark.parametrize("plan", ["greedy", "cost"])
-    @pytest.mark.parametrize("engine", ["batch", "interp"])
-    def test_differential_all_modes(self, plan, engine):
-        self.assert_same(plan, engine)
+    @pytest.mark.parametrize("plan", ["greedy", "cost"],
+                             ids=["batch-greedy", "batch-cost"])
+    def test_differential_all_modes(self, plan):
+        self.assert_same(plan)
 
     def test_idlog_answers_unchanged_under_tracing(self):
         program = "pick(X) :- item[](X, 0)."
@@ -305,10 +304,10 @@ class TestContextTracer:
 
 
 class TestProfile:
-    def profile_of(self, plan="greedy", engine="batch"):
+    def profile_of(self, plan="greedy"):
         timing = TimingTracer()
         _, stats = evaluate(parse_program(STRATIFIED), graph_db(),
-                            plan=plan, engine=engine, tracer=timing)
+                            plan=plan, tracer=timing)
         return timing.profile, stats
 
     def test_profile_totals_match_stats(self):
@@ -332,17 +331,9 @@ class TestProfile:
         assert recursive.calls > 1
         assert recursive.pipeline_hits \
             == recursive.calls - recursive.pipelines_compiled
-        assert profile.meta["engine"] == "batch"
+        assert profile.meta["plan"] == "greedy"
+        assert "engine" not in profile.meta
         assert profile.meta["evaluations"] == 1
-
-    def test_interp_engine_compiles_no_pipelines(self):
-        profile, _ = self.profile_of(engine="interp")
-        assert all(c.pipelines_compiled == 0
-                   for c in profile.clauses.values())
-        # ... and the table renders "-" rather than phantom cache hits.
-        for line in format_profile(profile).splitlines():
-            if line.lstrip().startswith(("path(", "lone(")):
-                assert line.rstrip().endswith("-")
 
     def test_as_dict_is_json_ready(self):
         profile, _ = self.profile_of()
@@ -376,6 +367,38 @@ class TestProfile:
         assert timing.profile.meta["evaluations"] == 2
 
 
+class TestWholeCallSpans:
+    """Enumeration and incremental materialization are one eval span per
+    call, so their profiles carry ``meta["wall_s"]``."""
+
+    ITEMS = Database.from_facts({"item": [("i1",), ("i2",), ("i3",)]})
+
+    def test_traced_answers_report_wall_s(self):
+        timing = TimingTracer()
+        engine = IdlogEngine("pick(X) :- item[](X, 0).", tracer=timing)
+        assert len(engine.answers(self.ITEMS, "pick")) == 3
+        assert timing.profile.meta["wall_s"] > 0
+        assert timing.profile.meta["evaluations"] == 1
+
+    def test_traced_answer_probabilities_report_wall_s(self):
+        timing = TimingTracer()
+        engine = IdlogEngine("pick(X) :- item[](X, 0).", tracer=timing)
+        engine.answer_probabilities(self.ITEMS, "pick")
+        assert timing.profile.meta["wall_s"] > 0
+        assert timing.profile.meta["evaluations"] == 1
+
+    def test_traced_incremental_start_reports_wall_s(self):
+        tracer = CallbackTracer()
+        timing = TimingTracer()
+        engine = IncrementalEngine(STRATIFIED,
+                                   tracer=TeeTracer([tracer, timing]))
+        engine.start(graph_db())
+        assert timing.profile.meta["wall_s"] > 0
+        assert timing.profile.meta["evaluations"] == 1
+        kinds = [e.kind for e in tracer.events]
+        assert kinds[0] == "eval_start" and kinds[-1] == "eval_end"
+
+
 def _synthetic_fire(tracer, clause="p(X) :- q(X).", est_rows=1.0,
                     actual_rows=99, est_probes=1.0, actual_probes=100):
     """One clause_fire with a deliberately wrong single-stage estimate."""
@@ -387,13 +410,20 @@ def _synthetic_fire(tracer, clause="p(X) :- q(X).", est_rows=1.0,
                          "actual_probes": actual_probes}])
 
 
+def _stageless_fire(tracer):
+    """One clause_fire carrying no stage estimates (e.g. a replayed
+    trace from an older producer)."""
+    tracer.emit("clause_fire", clause="path(X, Y) :- edge(X, Y).",
+                stratum=0, wall_s=0.001, probes=3, firings=3, new=3)
+
+
 class TestPlanQuality:
     """Estimated-vs-actual capture: the tentpole of the plan-quality PR."""
 
-    def profile_of(self, plan="greedy", engine="batch"):
+    def profile_of(self, plan="greedy"):
         timing = TimingTracer()
         _, stats = evaluate(parse_program(STRATIFIED), graph_db(),
-                            plan=plan, engine=engine, tracer=timing)
+                            plan=plan, tracer=timing)
         return timing.profile, stats
 
     def test_q_error_is_symmetric_and_smoothed(self):
@@ -413,15 +443,6 @@ class TestPlanQuality:
                 == row.probes
             assert row.probe_q_error >= 1.0
             assert row.worst_stage_q_error >= 1.0
-
-    def test_interp_engine_captures_no_stages(self):
-        profile, _ = self.profile_of(engine="interp")
-        for row in profile.clause_rows():
-            assert row.estimated_calls == 0
-            assert row.stages == {}
-            assert row.probe_q_error is None
-            assert row.worst_stage_q_error is None
-            assert row.misestimated is False
 
     def test_as_dict_carries_stage_breakdown(self):
         profile, _ = self.profile_of()
@@ -450,8 +471,13 @@ class TestPlanQuality:
         assert quality["median_q_error"] is not None
 
     def test_plan_quality_empty_without_estimates(self):
-        profile, _ = self.profile_of(engine="interp")
-        quality = profile.plan_quality()
+        timing = TimingTracer()
+        _stageless_fire(timing)
+        row = next(iter(timing.profile.clauses.values()))
+        assert row.estimated_calls == 0
+        assert row.probe_q_error is None
+        assert row.misestimated is False
+        quality = timing.profile.plan_quality()
         assert quality["clauses"] == []
         assert quality["median_q_error"] is None
         assert quality["max_q_error"] is None
@@ -510,11 +536,12 @@ class TestPlanQuality:
         assert "50.5!" in table  # q_error(1, 100) probes, '!'-flagged
 
     def test_format_profile_dashes_without_estimates(self):
-        profile, _ = self.profile_of(engine="interp")
-        table = format_profile(profile)
+        timing = TimingTracer()
+        _stageless_fire(timing)
+        table = format_profile(timing.profile)
         row = next(line for line in table.splitlines()
                    if line.lstrip().startswith("path("))
-        # est probes and q-err both render "-" under the interp engine.
+        # est probes and q-err both render "-" without stage estimates.
         cells = row.split()
         assert cells[-6] == "-" and cells[-5] == "-"
 

@@ -14,7 +14,7 @@ from repro.eval.scenario import Assertion, AnswerInvariant, Scenario
 
 
 class SpyAssertion(Assertion):
-    """Records which (engine, plan) combinations it ran under."""
+    """Records which plan modes it ran under."""
 
     def __init__(self, name, matrix=True, fail=False, explode=False):
         self.name = name
@@ -24,7 +24,7 @@ class SpyAssertion(Assertion):
         self.ran_on = []
 
     def check(self, ctx):
-        self.ran_on.append((ctx.engine_mode, ctx.plan_mode))
+        self.ran_on.append(ctx.plan_mode)
         if self._explode:
             raise RuntimeError("assertion blew up")
         if self._fail:
@@ -53,30 +53,28 @@ class TestMatrixPartitioning:
         spy = SpyAssertion("everywhere", matrix=True)
         report = ScenarioRunner([make_scenario([spy])],
                                 differential=False).run()
-        assert sorted(spy.ran_on) == sorted(
-            [(e, p) for e in ("batch", "interp")
-             for p in ("greedy", "cost")])
-        assert len(report.cases) == 4
+        assert spy.ran_on == ["greedy", "cost"]
+        assert len(report.cases) == 2
         assert report.passed
 
     def test_non_matrix_assertion_runs_on_primary_only(self):
         spy = SpyAssertion("once", matrix=False)
         runner = ScenarioRunner([make_scenario([spy])], differential=False)
         runner.run()
-        assert spy.ran_on == [("batch", "greedy")]
+        assert spy.ran_on == ["greedy"]
 
     def test_engine_plan_subset(self):
         spy = SpyAssertion("sub", matrix=True)
-        runner = ScenarioRunner([make_scenario([spy])],
-                                engines=("interp",), plans=("cost",),
+        runner = ScenarioRunner([make_scenario([spy])], plans=("cost",),
                                 differential=False)
         report = runner.run()
-        assert spy.ran_on == [("interp", "cost")]
+        assert spy.ran_on == ["cost"]
         assert len(report.cases) == 1
+        # plans are the only axis; the retired engines= axis is rejected
+        with pytest.raises(TypeError):
+            ScenarioRunner([make_scenario([spy])], engines=("batch",))
 
     def test_invalid_modes_rejected(self):
-        with pytest.raises(ReproError):
-            ScenarioRunner([make_scenario([])], engines=("warp",))
         with pytest.raises(ReproError):
             ScenarioRunner([make_scenario([])], plans=("psychic",))
 
@@ -106,7 +104,7 @@ class TestRunnerBehaviour:
     def test_assertion_error_becomes_case_error(self):
         boom = SpyAssertion("boom", explode=True)
         report = ScenarioRunner([make_scenario([boom])],
-                                engines=("batch",), plans=("greedy",),
+                                plans=("greedy",),
                                 differential=False).run()
         (case,) = report.cases
         assert not case.passed
@@ -116,7 +114,7 @@ class TestRunnerBehaviour:
     def test_failing_assertion_recorded_not_raised(self):
         bad = SpyAssertion("bad", fail=True)
         report = ScenarioRunner([make_scenario([bad])],
-                                engines=("batch",), plans=("greedy",),
+                                plans=("greedy",),
                                 differential=False).run()
         (case,) = report.cases
         assert case.error is None
@@ -127,7 +125,7 @@ class TestRunnerBehaviour:
         notes = []
         ScenarioRunner([make_scenario([])],
                        progress=notes.append).run()
-        assert len(notes) == 5  # 4 matrix cases + differential
+        assert len(notes) == 3  # 2 plan cases + differential
         assert any("differential" in n for n in notes)
 
 
@@ -137,7 +135,6 @@ class TestDifferentialCase:
         diff = [c for c in report.cases if c.plan == "differential"]
         assert len(diff) == 1
         (case,) = diff
-        assert case.engine == "matrix"
         names = [a.name for a in case.assertions]
         assert names == ["differential-canonical", "differential-replay"]
         assert case.passed, case.assertions
@@ -155,11 +152,13 @@ class TestDifferentialCase:
             "differential-canonical"]
         assert diff.passed
 
-    def test_single_combination_has_no_differential(self):
+    def test_single_plan_still_checked_against_oracle(self):
         report = ScenarioRunner([make_scenario([])],
-                                engines=("batch",),
                                 plans=("greedy",)).run()
-        assert all(c.plan != "differential" for c in report.cases)
+        (diff,) = [c for c in report.cases if c.plan == "differential"]
+        assert diff.passed, diff.assertions
+        canonical = diff.assertions[0]
+        assert "agree with the oracle" in canonical.detail
 
 
 class TestReportFlushing:
@@ -199,7 +198,7 @@ class TestReportFlushing:
 
         def progress(msg):
             calls.append(msg)
-            if len(calls) == 5:  # after scenario 'first' finishes
+            if len(calls) == 3:  # after scenario 'first' finishes
                 raise KeyboardInterrupt
 
         out = str(tmp_path / "aborted.json")
@@ -214,7 +213,7 @@ class TestReportFlushing:
     def test_save_to_file_object(self):
         buffer = io.StringIO()
         run_suite([make_scenario([])], out=buffer,
-                  engines=("batch",), plans=("greedy",))
+                  plans=("greedy",), differential=False)
         data = json.loads(buffer.getvalue())
         assert data["kind"] == "eval_report"
         assert data["summary"]["cases"] == 1
@@ -257,8 +256,7 @@ class TestReportRoundTrip:
     def test_format_report_mentions_failures(self):
         report = ScenarioRunner([make_scenario(
             [SpyAssertion("bad", fail=True)])],
-            engines=("batch",), plans=("greedy",),
-            differential=False).run()
+            plans=("greedy",), differential=False).run()
         text = format_report(report)
         assert "FAIL" in text
         assert "forced failure" in text

@@ -1,21 +1,22 @@
 """End-to-end tests of the built-in suite (repro.eval.suite).
 
 These are the differential satellite's teeth: every built-in scenario is
-exercised under the full engine×plan matrix, deterministic queries must
-agree exactly, and non-deterministic ones must replay one recorded
-choice log to identical answers under every combination.
+exercised under both plan modes, deterministic queries must agree
+exactly with the reference oracle, and non-deterministic ones must
+replay one recorded choice log to identical answers under every plan
+and through the oracle.
 """
 
 import pytest
 
 from repro.eval.runner import ScenarioRunner
-from repro.eval.scenario import ENGINES, PLANS
+from repro.eval.scenario import PLANS
 from repro.eval.suite import builtin_suite
 
 
 @pytest.fixture(scope="module")
 def quick_report():
-    """One quick run of the suite across the full matrix, shared by the
+    """One quick run of the suite under both plans, shared by the
     module (the suite itself caches per-case evaluations)."""
     return ScenarioRunner(builtin_suite(), quick=True).run()
 
@@ -47,7 +48,7 @@ class TestSuiteShape:
 class TestQuickRunPasses:
     def test_whole_quick_suite_passes(self, quick_report):
         failures = [
-            f"{case.scenario} [{case.engine}/{case.plan}] "
+            f"{case.scenario} [{case.plan}] "
             f"{assertion.name}: {assertion.detail}"
             for case, assertion in quick_report.failures()]
         assert quick_report.passed, "\n".join(failures)
@@ -57,15 +58,16 @@ class TestQuickRunPasses:
         combos_by_scenario: dict = {}
         for case in quick_report.cases:
             combos_by_scenario.setdefault(case.scenario, set()).add(
-                (case.engine, case.plan))
-        expected = {(e, p) for e in ENGINES for p in PLANS}
+                case.plan)
+        expected = set(PLANS)
         for scenario, combos in combos_by_scenario.items():
             assert expected <= combos, scenario
 
     def test_differential_case_per_scenario(self, quick_report):
-        """The satellite: identical answer sets across combinations for
+        """The satellite: the oracle's answers under every plan for
         deterministic queries; identical replayed answers (digest-checked
-        choice logs) for non-deterministic ones."""
+        choice logs) under every plan and the oracle for
+        non-deterministic ones."""
         diff = {case.scenario: case for case in quick_report.cases
                 if case.plan == "differential"}
         fast = [s for s in builtin_suite() if "slow" not in s.tags]
@@ -100,7 +102,7 @@ class TestFullSuite:
     def test_full_suite_with_default_seeds(self):
         report = ScenarioRunner(builtin_suite()).run()
         failures = [
-            f"{case.scenario} [{case.engine}/{case.plan}] "
+            f"{case.scenario} [{case.plan}] "
             f"{assertion.name}: {assertion.detail}"
             for case, assertion in report.failures()]
         assert report.passed, "\n".join(failures)

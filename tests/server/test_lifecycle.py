@@ -303,24 +303,6 @@ class TestCliServeConnect:
         assert ping["request_id"].startswith("r")
 
 
-class TestConcurrentLoadSmoke:
-    def test_bench_server_quick_profile(self):
-        """The benchmark's quick profile doubles as the >=8-concurrent-
-        clients acceptance test, run in-process."""
-        sys.path.insert(0, os.path.abspath(os.path.join(
-            os.path.dirname(__file__), "..", "..", "benchmarks")))
-        try:
-            import bench_server
-        finally:
-            sys.path.pop(0)
-        report = bench_server.run(quick=True, requests=3)
-        assert report["clients"] >= 8
-        assert report["errors"] == 0
-        assert report["completed_requests"] == report["total_requests"]
-        assert report["prepared_reuse_verified"] is True
-        assert report["latency_ms"]["p50"] > 0
-
-
 def concurrent_session_churn(handle: ServerThread, rounds: int,
                              errors: list) -> None:
     try:

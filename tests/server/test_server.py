@@ -69,9 +69,26 @@ class TestBasics:
     def test_open_session(self, client):
         result = client.call("open_session")
         assert result["session"].startswith("s")
-        assert result == {"session": result["session"], "plan": "greedy",
-                          "engine": "batch"}
+        assert result == {"session": result["session"], "plan": "greedy"}
         client.call("close_session", session=result["session"])
+
+    @pytest.mark.parametrize("engine", ["batch", "vectorized", 7])
+    def test_retired_engine_field_is_ignored(self, client, engine):
+        """Clients from before the single-engine release may still send
+        ``engine``; like any unrecognised field it is ignored, and neither
+        open_session nor prepare echoes it back."""
+        result = client.call("open_session", plan="cost", engine=engine)
+        sid = result["session"]
+        assert result == {"session": sid, "plan": "cost"}
+        client.call("assert_facts", session=sid,
+                    facts={"edge": [["a", "b"], ["b", "c"]]})
+        prepared = client.call("prepare", session=sid, name="tc",
+                               program=TC_PROGRAM, engine=engine)
+        assert "engine" not in prepared
+        run = client.call("run", session=sid, prepared="tc")
+        assert run["answers"]["path"] == [["a", "b"], ["a", "c"],
+                                          ["b", "c"]]
+        client.call("close_session", session=sid)
 
     def test_close_session_then_use_fails(self, client):
         sid = client.call("open_session")["session"]
@@ -530,6 +547,43 @@ class TestSlowQueryCapture:
         assert wire["path"] == str(path)
         assert any(e["request_id"] == result["request_id"]
                    for e in wire["entries"])
+
+    def test_digests_match_under_concurrent_clients(self, slow_server):
+        """Eight clients sampling at once: every captured run entry
+        carries the choice digest its own wire response carried."""
+        handle, path = slow_server
+        digests: dict = {}
+        errors: list[str] = []
+
+        def one_client(index: int) -> None:
+            try:
+                with handle.client() as client:
+                    sid = client.call("open_session")["session"]
+                    client.call("assert_facts", session=sid,
+                                facts={"emp": EMP_ROWS})
+                    for seed in range(3):
+                        result = client.call(
+                            "run", session=sid, program=SAMPLE_PROGRAM,
+                            mode="one", seed=index * 10 + seed)
+                        digests[result["request_id"]] = \
+                            result["choice_digest"]
+                    client.call("close_session", session=sid)
+            except Exception as exc:
+                errors.append(f"client {index}: {exc!r}")
+
+        threads = [threading.Thread(target=one_client, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert errors == []
+        assert len(digests) == 24
+        runs = [json.loads(line) for line in path.read_text().splitlines()]
+        runs = [e for e in runs if e.get("type") == "run"]
+        assert {e["request_id"] for e in runs} == set(digests)
+        for entry in runs:
+            assert entry["choice_digest"] == digests[entry["request_id"]]
 
     def test_slow_counter_in_metrics(self, slow_server):
         handle, _ = slow_server

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.datalog.explain import explain_program
 
 PROGRAM = """
@@ -136,7 +136,7 @@ class TestRun:
         code, output = run_cli("run", str(path), "-f", facts_file,
                                "--plan", "cost")
         assert code == 0
-        assert "--plan/--engine apply to Datalog/IDLOG evaluation" in output
+        assert "--plan applies to Datalog/IDLOG evaluation" in output
 
     def test_query_selection(self, program_file, facts_file):
         code, output = run_cli("run", program_file, "-f", facts_file,
@@ -260,7 +260,7 @@ class TestProfileCommand:
         # structure and counters must not.
         assert "path: 6 tuple(s)" in output
         assert "EXPLAIN ANALYZE" in output
-        assert "plan=greedy, engine=batch" in output
+        assert "plan=greedy, wall=" in output
         assert "stratum 0: defines path" in output
         assert "clause" in output and "probes" in output \
             and "pipelines" in output
@@ -271,9 +271,12 @@ class TestProfileCommand:
     def test_plan_and_engine_knobs(self, tc_files):
         prog, facts = tc_files
         code, output = run_cli("profile", prog, "-f", facts,
-                               "--plan", "cost", "--engine", "interp")
+                               "--plan", "cost")
         assert code == 0
-        assert "plan=cost, engine=interp" in output
+        assert "plan=cost, wall=" in output
+        # The engine knob was retired with the interpreter.
+        args = build_parser().parse_args(["profile", prog, "--plan", "cost"])
+        assert not hasattr(args, "engine")
         assert "cost:" in output
 
     def test_seed_profiles_one_run(self, program_file, facts_file):
@@ -372,8 +375,7 @@ class TestMetricsFlags:
         code, output = run_cli("run", prog, "-f", facts, "--metrics", "-")
         assert code == 0
         assert "# TYPE idlog_evaluations_total counter" in output
-        assert 'idlog_evaluations_total{engine="batch",plan="greedy"} 1' \
-            in output
+        assert 'idlog_evaluations_total{plan="greedy"} 1' in output
 
     def test_results_unchanged_by_metrics(self, tc_files):
         prog, facts = tc_files
@@ -703,12 +705,15 @@ class TestEvalCommand:
     def test_engine_plan_restriction(self, tmp_path):
         out_path = tmp_path / "r.json"
         code, _ = run_cli("eval", "--only", "chain-reach",
-                          "--engine", "interp", "--plan", "cost",
-                          "--out", str(out_path))
+                          "--plan", "cost", "--out", str(out_path))
         assert code == 0
         data = json.loads(out_path.read_text())
-        combos = {(c["engine"], c["plan"]) for c in data["cases"]}
-        assert combos == {("interp", "cost")}  # single combo, no diff case
+        # one plan case plus the differential case against the oracle
+        assert [c["plan"] for c in data["cases"]] == ["cost",
+                                                      "differential"]
+        # plans are the only axis of the matrix
+        args = build_parser().parse_args(["eval", "--plan", "cost"])
+        assert not hasattr(args, "engine")
 
     def test_failing_suite_exits_nonzero(self, tmp_path, monkeypatch):
         from repro.eval.scenario import ExactAnswer, Scenario
@@ -752,8 +757,7 @@ class TestEvalCommand:
             lambda: [scenario("first"), scenario("dies", [Die()])])
         out_path = tmp_path / "partial.json"
         with pytest.raises(KeyboardInterrupt):
-            run_cli("eval", "--no-differential",
-                    "--engine", "batch", "--plan", "greedy",
+            run_cli("eval", "--no-differential", "--plan", "greedy",
                     "--out", str(out_path))
         data = json.loads(out_path.read_text())
         assert data["schema"] == 1
@@ -795,13 +799,13 @@ class TestPlansCommand:
         assert sum(" :- " in l for l in output.splitlines()) == 1
         assert "more clause(s); --limit raises the cut" in output
 
-    def test_interp_trace_has_no_estimates(self, tc_files, tmp_path):
-        prog, facts = tc_files
-        trace = tmp_path / "interp.jsonl"
-        code, _ = run_cli("profile", prog, "-f", facts,
-                          "--engine", "interp", "--trace", str(trace))
-        assert code == 0
-        code, output = run_cli("plans", str(trace))
+    def test_trace_without_estimates(self, traced, tmp_path):
+        stripped = tmp_path / "stageless.jsonl"
+        records = [json.loads(line) for line in open(traced)]
+        for record in records:
+            record.pop("stages", None)
+        stripped.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, output = run_cli("plans", str(stripped))
         assert code == 0
         assert "no estimate-bearing clause executions" in output
 

@@ -8,7 +8,8 @@ chain, linearly-ish for semi-naive).
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
-from repro.datalog.seminaive import evaluate, evaluate_naive
+from repro.datalog.seminaive import evaluate
+from repro.testing import evaluate_naive
 
 TC = parse_program("""
     path(X, Y) :- edge(X, Y).

@@ -28,9 +28,8 @@ from typing import Iterator, Union
 
 from ..datalog.ast import Program
 from ..datalog.database import Database, Relation
-from ..datalog.safety import order_body
-from ..datalog.seminaive import (EvalStats, RelationStore, _head_tuple,
-                                 _solve_literals)
+from ..datalog.executor import BatchExecutor
+from ..datalog.seminaive import EvalStats, RelationStore
 from ..errors import EvaluationError, SchemaError
 from .engine import IdlogEngine, _FixedIdProvider
 from .idrelations import Grouping, sub_relations
@@ -131,12 +130,11 @@ def is_model(program: Union[str, Program],
         raise EvaluationError(
             f"interpretation assigns no ID-relation for {sorted(missing)}")
     store = _store_of(interp, program)
-    stats = EvalStats()
+    executor = BatchExecutor()
     for clause in program.clauses:
-        plan = order_body(clause)
-        for subst in _solve_literals(plan, 0, {}, store, stats, {}):
-            head_row = _head_tuple(clause, subst)
-            if head_row not in interp.relation(clause.head.pred):
+        head = store.relation(clause.head.pred)
+        for row in executor.execute_coded(clause, store, EvalStats()):
+            if not head.contains_coded(row):
                 return False
     return True
 

@@ -29,7 +29,7 @@ from .parser import parse_atom, parse_clause, parse_program
 from .pretty import format_clause, to_source
 from .safety import check_clause, check_program, order_body
 from .sorts import check_database_sorts, format_signatures, infer_signatures
-from .seminaive import EvalStats, evaluate, evaluate_naive
+from .seminaive import EvalStats, evaluate
 from .stratify import Stratification, is_stratified, stratify
 from .trace import (EVENT_KINDS, SCHEMA_VERSION, CallbackTracer,
                     ClauseProfile, JsonTracer, NullTracer, Profile,
@@ -60,7 +60,7 @@ __all__ = [
     "format_clause", "to_source",
     "check_clause", "check_program", "order_body",
     "check_database_sorts", "format_signatures", "infer_signatures",
-    "EvalStats", "evaluate", "evaluate_naive",
+    "EvalStats", "evaluate",
     "Stratification", "is_stratified", "stratify",
     "EVENT_KINDS", "SCHEMA_VERSION", "CallbackTracer", "ClauseProfile",
     "JsonTracer",

@@ -82,6 +82,23 @@ class Atom:
             for a in self.args)
         return Atom(self.pred, new_args, self.group)
 
+    def ground(self, binding: Mapping[Var, Value]) -> tuple[Value, ...]:
+        """The argument values under a binding of every variable."""
+        return tuple(a.value if isinstance(a, Const) else binding[a]
+                     for a in self.args)
+
+    def unify(self, row: tuple[Value, ...]) -> Optional[dict[Var, Value]]:
+        """The binding making the arguments equal ``row``; None on a clash
+        of a constant or a repeated variable."""
+        binding: dict[Var, Value] = {}
+        for term, value in zip(self.args, row):
+            if isinstance(term, Const):
+                if term.value != value:
+                    return None
+            elif binding.setdefault(term, value) != value:
+                return None
+        return binding
+
     def rename_pred(self, new_name: str) -> "Atom":
         """Return a copy of this atom with a different predicate name."""
         return Atom(new_name, self.args, self.group)

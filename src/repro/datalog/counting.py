@@ -18,16 +18,18 @@ DRed.  The A7 ablation compares the two on workloads where both apply.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Union
+from typing import Optional, Union
 
 from ..errors import EvaluationError, SchemaError
 from .ast import Atom, Clause, Program
 from .database import Database, Relation
+from .executor import BatchExecutor
 from .parser import parse_program
+from .pool import GLOBAL_POOL
 from .safety import check_program, order_body
-from .seminaive import EvalStats, RelationStore, _solve_literals
+from .seminaive import EvalStats, RelationStore
 from .stratify import stratify
-from .terms import Const, Value
+from .terms import Value
 
 Fact = tuple[str, tuple[Value, ...]]
 
@@ -83,6 +85,7 @@ class CountingEngine:
                     (clause, tuple(positions)))
         self._live: dict[str, Relation] = {}
         self._counts: dict[str, dict[tuple, int]] = {}
+        self._executor = BatchExecutor()
         self.stats = EvalStats()
 
     # -- lifecycle ----------------------------------------------------------
@@ -104,7 +107,7 @@ class CountingEngine:
         for pred in sorted(self.program.head_predicates,
                            key=lambda p: (self._level[p], p)):
             for clause in self.program.clauses_defining(pred):
-                for row in self._instances(clause, store, {}):
+                for row in self._instances(clause, store):
                     bucket = self._counts[pred]
                     bucket[row] = bucket.get(row, 0) + 1
             for row in self._counts[pred]:
@@ -135,35 +138,28 @@ class CountingEngine:
     # -- instance counting -----------------------------------------------------
 
     def _instances(self, clause: Clause, store: RelationStore,
-                   overrides_by_body_index: dict[int, Relation],
-                   ) -> list[tuple]:
-        """Head tuples of all satisfying instances, with positions in
-        ``overrides_by_body_index`` (body-order indexes) pinned to the
-        given relations."""
-        first = None
-        if overrides_by_body_index:
-            first_index = min(overrides_by_body_index)
-            first = clause.body[first_index]
-        plan = order_body(clause, first=first)
-        # Map body-order overrides onto plan positions (equal literals are
-        # interchangeable, so greedy matching is sound).
-        remaining = dict(overrides_by_body_index)
-        plan_overrides: dict[int, Relation] = {}
-        for plan_pos, literal in enumerate(plan):
-            hit = next((bi for bi, _ in remaining.items()
-                        if clause.body[bi] == literal), None)
-            if hit is not None:
-                plan_overrides[plan_pos] = remaining.pop(hit)
-        assert not remaining
+                   pinned: tuple[int, ...] = (),
+                   pin: Optional[Relation] = None) -> list[tuple]:
+        """Head tuples of all satisfying instances, the body literals at
+        ``pinned`` positions reading ``pin`` instead of their relation.
+
+        The pinned literals run first, so their overrides are the leading
+        positions of the order.
+        """
+        first = tuple(clause.body[i] for i in pinned)
+        rest = tuple(lit for i, lit in enumerate(clause.body)
+                     if i not in pinned)
+        bound = frozenset().union(*(lit.vars for lit in first))
+        order = first + order_body(Clause(clause.head, rest),
+                                   initially_bound=bound)
         stats = EvalStats()
-        heads = []
-        for subst in _solve_literals(plan, 0, {}, store, stats,
-                                     plan_overrides):
-            heads.append(tuple(
-                t.value if isinstance(t, Const) else subst[t]
-                for t in clause.head.args))
+        layout, rows = self._executor.execute_bindings(
+            order, store, stats,
+            overrides=dict.fromkeys(range(len(first)), pin))
         self.stats.probes += stats.probes
-        return heads
+        decode = GLOBAL_POOL.decode_row
+        return [clause.head.ground(dict(zip(layout, decode(row))))
+                for row in rows]
 
     # -- writes -----------------------------------------------------------------
 
@@ -231,7 +227,6 @@ class CountingEngine:
             for size in range(1, len(positions) + 1):
                 term_sign = sign * (1 if size % 2 == 1 else -1)
                 for subset in combinations(positions, size):
-                    overrides = {i: pin for i in subset}
-                    for head in self._instances(clause, store, overrides):
+                    for head in self._instances(clause, store, subset, pin):
                         deltas.append((clause.head.pred, head, term_sign))
         return deltas

@@ -16,8 +16,8 @@ int code for single-position indexes, a code tuple otherwise — to lists of
 row indexes.  The batch executor (:mod:`repro.datalog.executor`) joins and
 projects over these codes end-to-end; the value-level API below (``add``,
 ``match``, iteration...) encodes on the way in and decodes on the way out,
-so every caller that speaks values — the tuple-at-a-time
-``evaluate_clause``, ID-materialization, the ChoiceLog, provenance, the
+so every caller that speaks values — the tuple-at-a-time reference
+solver in :mod:`repro.testing`, ID-materialization, the ChoiceLog, the
 CLI — behaves exactly as it did over the old tuple-set storage.
 """
 
@@ -733,6 +733,14 @@ class Database:
         return Database({n: r.copy() for n, r in self._relations.items()},
                         self._declared_udomain)
 
+    def facts(self) -> frozenset[tuple[str, tuple[Value, ...]]]:
+        """Every stored tuple as a ``(name, row)`` fact."""
+        facts = set()
+        for name in self.relation_names():
+            for row in self._relations[name]:
+                facts.add((name, row))
+        return frozenset(facts)
+
     def snapshot(self) -> dict[str, frozenset]:
         """Hashable snapshot: name -> frozenset of tuples."""
         return {n: r.frozen() for n, r in self._relations.items()}
@@ -747,8 +755,7 @@ class Database:
         ``total_cells``, their quotient ``interning_ratio``, and the
         process-wide constant pool's ``pool_constants`` /
         ``pool_approx_bytes`` (shared state, counted once, not per
-        relation) — the report behind ``repro-idlog stats`` and the
-        shell's ``.stats`` command.
+        relation) — the report behind ``repro-idlog stats``.
         """
         per_relation = {name: relation.memory_stats()
                         for name, relation in self._relations.items()}

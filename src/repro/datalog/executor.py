@@ -1,13 +1,12 @@
-"""Batch-compiled join execution for the bottom-up engines.
+"""Batch-compiled join execution: the one rule-firing path.
 
-:mod:`repro.datalog.seminaive` evaluates clause bodies tuple-at-a-time:
-``_solve_literals`` recurses per literal and copies a substitution dict per
-binding — the dominant constant-factor cost on every recursive benchmark.
-This module compiles each *planned* clause body (the literal order still
+Every rule firing in production runs here — the semi-naive fixpoint, DRed
+maintenance, counting, provenance, the DL/DLV/stable-model interpreters
+and IDLOG model checking.  Each *planned* literal order (the order still
 comes from :class:`~repro.datalog.planner.ClausePlanner` or
 :func:`~repro.datalog.safety.order_body` — planning and execution stay
-separate concerns) into a pipeline of set-oriented operators over *binding
-batches*:
+separate concerns) compiles into a pipeline of set-oriented operators over
+*binding batches*:
 
 * a **batch** is a fixed variable layout ``tuple[Var, ...]`` plus a list of
   positional binding rows — no per-row dicts;
@@ -17,7 +16,10 @@ batches*:
   batch;
 * negated literals and builtins become **batch filters** (anti-join /
   solver calls per row);
-* the head becomes a single **projection** producing the derived tuples.
+* for a clause, the head becomes a single **projection** producing the
+  derived tuples (:meth:`BatchExecutor.execute_coded`); without one,
+  :meth:`BatchExecutor.execute_bindings` hands back the binding rows
+  themselves, optionally seeded with bound variables.
 
 Since the columnar-storage rewrite the pipelines run over **constant
 codes** end-to-end (see :mod:`repro.datalog.pool`): batch rows are tuples
@@ -27,20 +29,19 @@ int-keyed indexes and extend rows straight out of the ``array('q')``
 columns, and anti-joins test coded membership — no Python-object hashing
 or equality anywhere on the hot path.  Only builtins decode: solvers
 compute over real values (arithmetic, comparisons), so their inputs are
-decoded per row and their outputs re-encoded.  The semi-naive loop calls
-:meth:`BatchExecutor.execute_coded` and keeps codes all the way into
-relation storage.
+decoded per row and their outputs re-encoded.  Callers decode at their own
+boundary.
 
-Semi-naive deltas need no special machinery: the delta override at the
-forced-first position is just a different build side for the first join.
+Semi-naive deltas need no special machinery: a relation override at a
+position is just a different build side for that join.
 
-**Probe accounting** intentionally matches the tuple-at-a-time
-:func:`~repro.datalog.seminaive.evaluate_clause` and the planner's cost
+**Probe accounting** intentionally matches the tuple-at-a-time reference
+solver (:func:`repro.testing.evaluate_clause`) and the planner's cost
 model: one probe per bucket row touched on the probe side, with a floor of
 one probe per lookup — so an index probe that finds an empty bucket (or a
 scan of an empty relation) still costs one.  The differential tests assert
-the counters of a pipeline and of ``evaluate_clause`` on the same clause
-are *equal*, not merely similar.
+the rows, bindings and counters of a pipeline and of the reference solver
+on the same clause are *equal*, in order, not merely similar.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .database import Relation
 from .pool import GLOBAL_POOL
 from .pretty import format_clause, format_literal
 from .safety import order_body
-from .terms import Const, Var
+from .terms import Const, Value, Var
 from .trace import EV_PIPELINE_COMPILED
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids a cycle)
@@ -364,7 +365,7 @@ def _compile_antijoin(literal: Literal, layout: dict[Var, int]) -> _Op:
     row_of = _tuple_fn(parts)
 
     def run(batch: Batch, relation: Relation, stats) -> Batch:
-        # Each membership test is one probe, exactly like ``evaluate_clause``.
+        # Each membership test is one probe, as in the reference solver.
         stats.probes += len(batch)
         contains = relation.contains_coded
         return [row for row in batch if not contains(row_of(row))]
@@ -406,7 +407,7 @@ def _compile_builtin(literal: Literal, layout: dict[Var, int]) -> _Op:
 
     # Positive builtin: build the partial argument tuple per row, consume
     # the solver's ground solutions, and re-check every position — bound
-    # positions because ``evaluate_clause``'s _match_args does, unbound
+    # positions because the reference solver's _match_args does, unbound
     # repeated variables because solvers only see the partial tuple.
     partial_parts: list[tuple[bool, object]] = []
     checks: list[tuple[bool, int, object]] = []  # (is_var, pos, payload)
@@ -573,22 +574,27 @@ def _fused_join(op: _Op, head: Atom, layout: dict[Var, int]) -> Optional[_Op]:
 
 
 class _Pipeline:
-    """A compiled clause: operator chain plus head projection.
+    """A compiled literal order: operator chain plus optional head projection.
 
-    Cached per (clause, delta position) by :class:`BatchExecutor`; the
-    recorded ``order`` detects plan changes (the cost planner may re-order
-    a clause when cardinalities drift), which force recompilation.
+    ``bound`` names the variables every input row already binds (the
+    layout's first slots); :attr:`layout` is the final variable layout of
+    the binding rows.  Clause pipelines are cached per (clause, delta
+    position) by :class:`BatchExecutor`; the recorded ``order`` detects
+    plan changes (the cost planner may re-order a clause when
+    cardinalities drift), which force recompilation.
 
     When the final operator is a fusable hash join (see
     :func:`_fused_join`), :attr:`fused` replaces both that operator and
     the head projection: its output rows *are* the head tuples.
     """
 
-    __slots__ = ("order", "ops", "head_of", "fused")
+    __slots__ = ("order", "ops", "head_of", "fused", "layout")
 
-    def __init__(self, clause: Clause, order: tuple[Literal, ...]) -> None:
+    def __init__(self, order: tuple[Literal, ...],
+                 head: Optional[Atom] = None,
+                 bound: tuple[Var, ...] = ()) -> None:
         self.order = order
-        layout: dict[Var, int] = {}
+        layout: dict[Var, int] = {var: i for i, var in enumerate(bound)}
         self.ops: list[_Op] = []
         for literal in order:
             atom = literal.atom
@@ -599,29 +605,36 @@ class _Pipeline:
                 self.ops.append(_compile_join(literal, layout))
             else:
                 self.ops.append(_compile_antijoin(literal, layout))
+        self.layout = tuple(layout)
         self.fused = None
+        self.head_of = None
+        if head is None:
+            return
         # Never fuse ops[0]: the delta override must target a live op.
         if len(self.ops) >= 2:
-            fused = _fused_join(self.ops[-1], clause.head, layout)
+            fused = _fused_join(self.ops[-1], head, layout)
             if fused is not None:
                 self.fused = fused
                 self.ops.pop()
-        self.head_of = _compile_head(clause.head, layout)
+        self.head_of = _compile_head(head, layout)
 
 
 class BatchExecutor:
-    """Executes planned clauses as batch pipelines, caching compilations.
+    """Executes planned literal orders as batch pipelines, caching
+    compilations.
 
     One executor lives per evaluation (mirroring
-    :class:`~repro.datalog.planner.ClausePlanner`); pipelines are keyed by
-    ``(clause identity, delta position)`` and recompiled only when the
-    planner hands back a different literal order.
+    :class:`~repro.datalog.planner.ClausePlanner`) or per maintenance /
+    model-checking engine.  Clause pipelines are keyed by ``(clause
+    identity, delta position)`` and recompiled only when the planner hands
+    back a different literal order; binding pipelines are keyed by the
+    order and the seeded variables.
 
     Args:
-        tracer: Optional span-event receiver; every pipeline *compilation*
-            (not cache hits) emits one ``pipeline_compiled`` event.  The
-            :attr:`stratum` attribute labels those events and is
-            maintained by the stratum loop.
+        tracer: Optional span-event receiver; every clause pipeline
+            *compilation* (not cache hits) emits one ``pipeline_compiled``
+            event.  The :attr:`stratum` attribute labels those events and
+            is maintained by the stratum loop.
     """
 
     def __init__(self, tracer=None) -> None:
@@ -634,6 +647,7 @@ class BatchExecutor:
         #: Only maintained while a tracer is installed.
         self.last_stages: Optional[list[dict]] = None
         self._pipelines: dict[tuple[int, Optional[int]], _Pipeline] = {}
+        self._binding_pipelines: dict[tuple, _Pipeline] = {}
 
     def execute_coded(self, clause: Clause, store: "RelationStore",
                       stats: "EvalStats",
@@ -646,9 +660,9 @@ class BatchExecutor:
         The semi-naive hot path: derived rows stay in code space all the
         way into relation storage.  ``delta``/``delta_index`` substitute the
         delta relation for the body literal at that source position
-        (scheduled first).  Rows, ``probes`` and ``firings`` match
-        :func:`~repro.datalog.seminaive.evaluate_clause` on the same
-        clause and plan.
+        (scheduled first).  Rows (in order), ``probes`` and ``firings``
+        match :func:`repro.testing.evaluate_clause` on the same clause and
+        plan.
         """
         estimates = None
         if planner is not None:
@@ -666,7 +680,7 @@ class BatchExecutor:
         pipeline = self._pipelines.get(key)
         if pipeline is None or pipeline.order != order:
             recompiled = pipeline is not None
-            pipeline = _Pipeline(clause, order)
+            pipeline = _Pipeline(order, clause.head)
             self._pipelines[key] = pipeline
             stats.pipelines_compiled += 1
             if self.tracer is not None:
@@ -679,44 +693,101 @@ class BatchExecutor:
         else:
             stats.pipelines_reused += 1
 
-        override = delta if delta_index is not None else None
+        overrides = None
+        if delta_index is not None and delta is not None:
+            overrides = {0: delta}
+        capture = None
         if self.tracer is not None:
             self.last_stages = None  # never leak a previous call's capture
             if estimates is not None:
-                return self._run_instrumented(pipeline, estimates, store,
-                                              stats, override)
-        batch: Batch = [()]
-        for i, op in enumerate(pipeline.ops):
-            if op.atom is None:
-                batch = op.run(batch, None, stats)
-            elif i == 0 and override is not None:
-                batch = op.run(batch, override, stats)
-            else:
-                batch = op.run(batch, store.resolve(op.atom), stats)
-            if not batch:
-                return []
+                capture = self._capture(estimates)
+        batch = self._run(pipeline, store, stats, [()], overrides, capture)
+        if not batch:
+            if capture is not None:
+                # Stages the pipeline never reached (an upstream join
+                # emptied the batch) record zero actuals: the planner
+                # predicted work there that never happened.
+                for index in range(len(self.last_stages), len(estimates)):
+                    capture(index, 0, 0)
+            return []
         fused = pipeline.fused
         if fused is not None:
+            probes_before = stats.probes
             batch = fused.run(batch, store.resolve(fused.atom), stats)
+            if capture is not None:
+                capture(len(estimates) - 1, len(batch),
+                        stats.probes - probes_before)
             stats.firings += len(batch)
             return batch
         stats.firings += len(batch)
         head_of = pipeline.head_of
         return list(map(head_of, batch))
 
-    def _run_instrumented(self, pipeline: "_Pipeline", estimates,
-                          store: "RelationStore", stats: "EvalStats",
-                          override) -> list[tuple[int, ...]]:
-        """The pipeline loop with per-stage estimate-vs-actual capture.
+    def execute_bindings(self, order: tuple[Literal, ...],
+                         store: "RelationStore", stats: "EvalStats",
+                         seed: Optional[dict[Var, Value]] = None,
+                         overrides: Optional[dict[int, Relation]] = None,
+                         ) -> tuple[tuple[Var, ...], list[tuple[int, ...]]]:
+        """Every binding satisfying ``order``, as ``(layout, coded rows)``.
 
-        Identical computation and accounting to the uninstrumented loop
-        in :meth:`execute_coded` — the only addition is snapshotting
-        ``stats.probes`` and the batch size around every operator so
-        each ``clause_fire`` event can carry ``(est_rows, actual_rows,
-        est_probes, actual_probes)`` per join stage.  Stages the
-        pipeline never reached (an upstream join emptied the batch)
-        are recorded with zero actuals: the planner predicted work
-        there that never happened.
+        The entry point for callers that need the body bindings rather
+        than head tuples (maintenance, provenance, model checking and the
+        one-firing-at-a-time interpreters).  ``layout`` names the variable
+        in each slot of the rows, ``seed``'s variables first.  ``seed``
+        binds variables before the first literal runs (its values are
+        looked up in the pool, never interned: a value the pool has never
+        seen matches nothing, so there are no bindings); ``overrides``
+        maps positions in ``order`` to the relations those literals read
+        instead of their stored ones.  Bindings come in the reference
+        solver's enumeration order, with equal probes.
+        """
+        bound = tuple(seed) if seed else ()
+        key = (order, bound)
+        pipeline = self._binding_pipelines.get(key)
+        if pipeline is None:
+            pipeline = _Pipeline(order, bound=bound)
+            self._binding_pipelines[key] = pipeline
+            stats.pipelines_compiled += 1
+        else:
+            stats.pipelines_reused += 1
+        first = tuple(map(_POOL.try_encode, seed.values())) if seed else ()
+        if None in first:
+            return pipeline.layout, []
+        return pipeline.layout, self._run(pipeline, store, stats, [first],
+                                          overrides)
+
+    @staticmethod
+    def _run(pipeline: _Pipeline, store: "RelationStore",
+             stats: "EvalStats", batch: Batch,
+             overrides: Optional[dict[int, Relation]],
+             capture: Optional[Callable] = None) -> Batch:
+        """Feed ``batch`` through the pipeline's operators (not the head).
+
+        Stops at the first operator that empties the batch.  ``capture``,
+        when given, receives ``(stage, rows out, probes)`` per operator.
+        """
+        for i, op in enumerate(pipeline.ops):
+            if op.atom is None:
+                relation = None
+            elif overrides and i in overrides:
+                relation = overrides[i]
+            else:
+                relation = store.resolve(op.atom)
+            if capture is None:
+                batch = op.run(batch, relation, stats)
+            else:
+                probes_before = stats.probes
+                batch = op.run(batch, relation, stats)
+                capture(i, len(batch), stats.probes - probes_before)
+            if not batch:
+                return batch
+        return batch
+
+    def _capture(self, estimates) -> Callable[[int, int, int], None]:
+        """A per-stage estimate-vs-actual recorder into :attr:`last_stages`.
+
+        Each ``clause_fire`` event then carries ``(est_rows, actual_rows,
+        est_probes, actual_probes)`` per join stage.
         """
         stages: list[dict] = []
         self.last_stages = stages
@@ -728,32 +799,4 @@ class BatchExecutor:
                 "kind": est.kind,
                 "est_rows": est.rows, "actual_rows": rows,
                 "est_probes": est.probes, "actual_probes": probes})
-
-        def fill_unreached(next_index: int) -> None:
-            for index in range(next_index, len(estimates)):
-                capture(index, 0, 0)
-
-        batch: Batch = [()]
-        for i, op in enumerate(pipeline.ops):
-            probes_before = stats.probes
-            if op.atom is None:
-                batch = op.run(batch, None, stats)
-            elif i == 0 and override is not None:
-                batch = op.run(batch, override, stats)
-            else:
-                batch = op.run(batch, store.resolve(op.atom), stats)
-            capture(i, len(batch), stats.probes - probes_before)
-            if not batch:
-                fill_unreached(i + 1)
-                return []
-        fused = pipeline.fused
-        if fused is not None:
-            probes_before = stats.probes
-            batch = fused.run(batch, store.resolve(fused.atom), stats)
-            capture(len(estimates) - 1, len(batch),
-                    stats.probes - probes_before)
-            stats.firings += len(batch)
-            return batch
-        stats.firings += len(batch)
-        head_of = pipeline.head_of
-        return list(map(head_of, batch))
+        return capture

@@ -14,6 +14,12 @@ would need re-numbering), updates are not monotone;
 :class:`IncrementalEngine` falls back to full recomputation there,
 keeping one API with two measured paths (the A4 ablation quantifies the
 difference).
+
+Every firing — materialization, delta propagation, over-deletion and
+re-derivation — runs on the batch executor: delta rounds call
+:meth:`~repro.datalog.executor.BatchExecutor.execute_coded` with the delta
+override, and the re-derivation check asks for the bindings of a clause
+body seeded with the candidate's head unification.
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ from typing import Optional, Union
 from ..errors import EvaluationError, SchemaError
 from .ast import Atom, Program
 from .database import Database, Relation
-from .parser import parse_program
 from .executor import BatchExecutor
+from .parser import parse_program
 from .planner import ClausePlanner
-from .safety import check_program
-from .seminaive import (EvalStats, RelationStore, evaluate_clause,
-                        evaluate_stratum, prepare_store)
+from .pool import GLOBAL_POOL
+from .safety import check_program, order_body
+from .seminaive import (EvalStats, RelationStore, evaluate_stratum,
+                        prepare_store)
 from .stratify import stratify
 from .terms import Value
 from .trace import (EV_EVAL_END, EV_EVAL_START, EV_INCREMENTAL, Tracer,
@@ -55,10 +62,6 @@ class IncrementalEngine:
         3
         >>> sorted(engine.relation("path"))
         [('a', 'b'), ('a', 'c'), ('b', 'c')]
-
-    (Re-)materialization passes run as batch pipelines; delta propagation
-    and DRed re-derivation stay tuple-at-a-time — they probe alternative
-    derivations one tuple at a time by construction.
     """
 
     def __init__(self, program: Union[str, Program],
@@ -81,6 +84,9 @@ class IncrementalEngine:
         self._store: RelationStore | None = None
         self._base = Database()
         self.stats = EvalStats()
+        #: Runs the maintenance firings (untraced: only the
+        #: materialization passes emit span events).
+        self._executor = BatchExecutor()
 
     def _trace(self, **fields) -> None:
         tracer = resolve_tracer(self.tracer)
@@ -256,9 +262,7 @@ class IncrementalEngine:
                 if delta is None or not len(delta):
                     continue
                 head = clause.head.pred
-                for candidate in list(evaluate_clause(
-                        clause, store, stats,
-                        delta_index=position, delta=delta)):
+                for candidate in self._fire(clause, position, delta, stats):
                     if candidate in deleted.get(head, ()):
                         continue
                     if candidate not in store.relation(head):
@@ -296,39 +300,26 @@ class IncrementalEngine:
 
     def _derivable(self, pred: str, row: tuple[Value, ...]) -> bool:
         """Does some clause derive ``row`` from the current relations?"""
-        from .safety import order_body
-        from .terms import Const, Var
         store = self._require_started()
-        stats = EvalStats()
         for clause in self.program.clauses_defining(pred):
-            subst: dict[Var, Value] = {}
-            ok = True
-            for term, value in zip(clause.head.args, row):
-                if isinstance(term, Const):
-                    if term.value != value:
-                        ok = False
-                        break
-                else:
-                    bound = subst.get(term)
-                    if bound is None:
-                        subst[term] = value
-                    elif bound != value:
-                        ok = False
-                        break
-            if not ok:
+            seed = clause.head.unify(row)
+            if seed is None:
                 continue
-            if not clause.body:
+            order = order_body(clause, initially_bound=frozenset(seed))
+            _, bindings = self._executor.execute_bindings(
+                order, store, EvalStats(), seed)
+            if bindings:
                 return True
-            plan = order_body(clause,
-                              initially_bound=frozenset(subst))
-            from .seminaive import _solve_literals
-            for final in _solve_literals(plan, 0, subst, store, stats, {}):
-                head = tuple(
-                    t.value if isinstance(t, Const) else final[t]
-                    for t in clause.head.args)
-                if head == row:
-                    return True
         return False
+
+    def _fire(self, clause, position: int, delta: Relation,
+              stats: EvalStats) -> list[tuple]:
+        """The head tuples of ``clause`` with body literal ``position``
+        reading ``delta``, decoded."""
+        decode = GLOBAL_POOL.decode_row
+        return [decode(row) for row in self._executor.execute_coded(
+            clause, self._require_started(), stats,
+            delta_index=position, delta=delta)]
 
     def _occurrences(self) -> list[tuple]:
         cached = getattr(self, "_occurrence_cache", None)
@@ -361,9 +352,7 @@ class IncrementalEngine:
                 if delta is None or not len(delta):
                     continue
                 head = clause.head.pred
-                for row in list(evaluate_clause(
-                        clause, store, stats,
-                        delta_index=position, delta=delta)):
+                for row in self._fire(clause, position, delta, stats):
                     if store.relation(head).add(row):
                         added += 1
                         stats.count_derived(head)

@@ -215,7 +215,7 @@ def _annotate(clause: Clause, order: tuple[Literal, ...], mode: str,
             matches, per_row = _positive_estimate(atom, bound, resolver)
             survivors = rows * per_row
         # The engine counts one probe per yielded tuple, with a floor of
-        # one probe per lookup (see seminaive._solve_literals).
+        # one probe per lookup (see repro.datalog.executor).
         probes = rows * max(1.0, matches)
         cost += probes
         estimates.append(LiteralEstimate(

@@ -8,8 +8,10 @@ relations, which is sound for stratified programs: every derived fact has
 a derivation whose positive sub-facts are themselves in the final
 relations, with strictly smaller height at the same stratum.
 
-Trees render as indented text (``format_tree``) for debugging and the
-shell's ``.why`` command.
+Clause instances come from the batch executor's bindings entry point,
+seeded with the head's unification against the explained tuple.  Trees
+render as indented text (``format_tree``) for debugging and the
+``repro-idlog why`` command.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from typing import Optional, Union
 from ..errors import EvaluationError
 from .ast import Atom, Clause, Program
 from .database import Database
+from .executor import BatchExecutor
 from .parser import parse_program
+from .pool import GLOBAL_POOL
 from .safety import order_body
-from .seminaive import EvalStats, RelationStore, _solve_literals
-from .terms import Const, Value, Var
+from .seminaive import EvalStats, RelationStore
+from .terms import Value, Var
 
 Fact = tuple[str, tuple[Value, ...]]
 
@@ -112,14 +116,11 @@ class Explainer:
                         "to Explainer")
                 return relation
 
-        stats = EvalStats()
-        self._store = RelationStore(_Provider(id_relations), stats)
+        self._store = RelationStore(_Provider(id_relations), EvalStats())
         for pred in program.predicates:
-            if pred in database:
-                self._store.install(pred, database.relation(pred))
-            else:
-                from .database import Relation
-                self._store.install(pred, Relation(program.arity(pred)))
+            self._store.install(pred, database.relation_or_empty(
+                pred, program.arity(pred)))
+        self._executor = BatchExecutor()
 
     def explain(self, pred: str, row: tuple[Value, ...],
                 max_depth: int = 200) -> Derivation:
@@ -159,46 +160,30 @@ class Explainer:
 
     def _try_clause(self, clause: Clause, fact: Fact, depth: int,
                     visiting: set[Fact]) -> Optional[Derivation]:
-        _, row = fact
-        subst: dict[Var, Value] = {}
-        for term, value in zip(clause.head.args, row):
-            if isinstance(term, Const):
-                if term.value != value:
-                    return None
-            else:
-                bound = subst.get(term)
-                if bound is None:
-                    subst[term] = value
-                elif bound != value:
-                    return None
-        if not clause.body:
-            return Derivation(fact, clause)
-        plan = order_body(clause, initially_bound=frozenset(subst))
-        stats = EvalStats()
-        for final in _solve_literals(plan, 0, dict(subst), self._store,
-                                     stats, {}):
-            head = tuple(
-                t.value if isinstance(t, Const) else final[t]
-                for t in clause.head.args)
-            if head != row:
-                continue
-            derivation = self._build_node(clause, fact, final, depth,
-                                          visiting)
+        seed = clause.head.unify(fact[1])
+        if seed is None:
+            return None
+        order = order_body(clause, initially_bound=frozenset(seed))
+        layout, rows = self._executor.execute_bindings(
+            order, self._store, EvalStats(), seed)
+        decode = GLOBAL_POOL.decode_row
+        for row in rows:
+            derivation = self._build_node(
+                clause, fact, dict(zip(layout, decode(row))), depth,
+                visiting)
             if derivation is not None:
                 return derivation
         return None
 
     def _build_node(self, clause: Clause, fact: Fact,
-                    subst: dict[Var, Value], depth: int,
+                    binding: dict[Var, Value], depth: int,
                     visiting: set[Fact]) -> Optional[Derivation]:
         children = []
         checks = []
         for literal in clause.body:
             atom = literal.atom
             assert isinstance(atom, Atom)
-            ground = tuple(
-                t.value if isinstance(t, Const) else subst[t]
-                for t in atom.args)
+            ground = atom.ground(binding)
             if atom.is_builtin or not literal.positive:
                 prefix = "" if literal.positive else "not "
                 checks.append(

@@ -7,11 +7,10 @@ builds IDLOG on (Theorem 1).  The evaluator is parameterized by an
 materialized ID-relations; plain Datalog evaluation passes no provider and
 rejects ID-atoms.
 
-Clauses run as compiled batch pipelines (:mod:`repro.datalog.executor`).
-:func:`evaluate_clause` is the tuple-at-a-time solver the maintenance and
-model-checking layers (counting, provenance, DRed, DL, DLV, stable models)
-build on, and :func:`evaluate_naive` — plain naive rounds of it — is the
-small reference evaluator the differential tests compare against.
+Clauses run as compiled batch pipelines (:mod:`repro.datalog.executor`),
+the one rule-firing path every layer shares.  The tuple-at-a-time solver
+and the naive evaluator built on it live in :mod:`repro.testing`, as the
+reference the differential tests compare against.
 
 Instrumentation is first-class: every evaluation fills an :class:`EvalStats`
 with tuples derived per predicate, clause firings, and join probes — the
@@ -22,18 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterator, Optional, Protocol
+from typing import Optional, Protocol
 
 from ..errors import EvaluationError
-from .ast import Atom, Clause, Literal, Program
-from .builtins import builtin_spec
+from .ast import Atom, Clause, Program
 from .database import CodedDelta, Database, Relation
 from .executor import BatchExecutor
 from .planner import ClausePlanner
 from .pretty import format_clause
-from .safety import order_body
 from .stratify import Stratification, stratify
-from .terms import Const, Value, Var
 from .trace import (EV_CLAUSE_FIRE, EV_EVAL_END, EV_EVAL_START, EV_ROUND,
                     EV_STRATUM_END, EV_STRATUM_START, Tracer, resolve_tracer)
 
@@ -58,12 +54,10 @@ class EvalStats:
         pipelines_compiled: Batch pipelines compiled by the batch executor.
         pipelines_reused: Cache hits on previously compiled pipelines.
 
-    The probe counter is the same quantity on every path: the batch
-    executor charges one probe per bucket row touched on the probe side
-    with a floor of one per lookup — exactly what :func:`evaluate_clause`
-    counts and the planner estimates, so a pipeline and the
-    tuple-at-a-time solver report *equal* probes for the same clause and
-    plan (asserted by the differential tests).
+    The probe counter is the batch executor's: one probe per bucket row
+    touched on the probe side with a floor of one per lookup — what the
+    planner estimates and the reference solver in :mod:`repro.testing`
+    counts (asserted equal by the differential tests).
     """
 
     derived: dict[str, int] = field(default_factory=dict)
@@ -133,6 +127,20 @@ class RelationStore:
         self._id_provider = id_provider or _NoIdProvider()
         self._stats = stats
 
+    @classmethod
+    def of_facts(cls, facts, arities: dict[str, int]) -> "RelationStore":
+        """A store holding ``(pred, row)`` facts, in iteration order, plus
+        an empty relation for every other predicate in ``arities``."""
+        store = cls(None, EvalStats())
+        relations = store._relations
+        relations.update((pred, Relation(n)) for pred, n in arities.items())
+        for pred, row in facts:
+            relation = relations.get(pred)
+            if relation is None:
+                relation = relations[pred] = Relation(len(row))
+            relation.add(row)
+        return store
+
     def install(self, name: str, relation: Relation) -> None:
         """Make ``relation`` visible as ``name``."""
         self._relations[name] = relation
@@ -188,153 +196,6 @@ class RelationStore:
             "total_approx_bytes": sum(
                 s["approx_bytes"] for s in relation_stats + id_stats),
         }
-
-
-Substitution = dict[Var, Value]
-
-
-def _match_args(args: tuple, row: tuple[Value, ...],
-                subst: Substitution) -> Optional[Substitution]:
-    """Extend ``subst`` so that ``args`` matches ``row``; None on clash."""
-    new_bindings: Substitution = {}
-    for term, value in zip(args, row):
-        if isinstance(term, Const):
-            if term.value != value:
-                return None
-        else:
-            seen = subst.get(term, new_bindings.get(term))
-            if seen is None:
-                new_bindings[term] = value
-            elif seen != value:
-                return None
-    if not new_bindings:
-        return subst
-    merged = dict(subst)
-    merged.update(new_bindings)
-    return merged
-
-
-def _ground_args(args: tuple, subst: Substitution) -> tuple:
-    """Instantiate args to values/None under ``subst`` (None = unbound)."""
-    out = []
-    for term in args:
-        if isinstance(term, Const):
-            out.append(term.value)
-        else:
-            out.append(subst.get(term))
-    return tuple(out)
-
-
-def _solve_literals(order: tuple[Literal, ...], index: int,
-                    subst: Substitution, store: RelationStore,
-                    stats: EvalStats,
-                    overrides: dict[int, Relation]) -> Iterator[Substitution]:
-    """Recursively enumerate substitutions satisfying ``order[index:]``.
-
-    ``overrides`` maps positions in ``order`` to replacement relations —
-    the mechanism by which semi-naive evaluation substitutes a delta for one
-    occurrence of a recursive predicate.
-    """
-    if index == len(order):
-        yield subst
-        return
-    literal = order[index]
-    atom = literal.atom
-    assert isinstance(atom, Atom)
-
-    if atom.is_builtin:
-        partial = _ground_args(atom.args, subst)
-        spec = builtin_spec(atom.pred)
-        if literal.positive:
-            solved = False
-            for solution in spec.solve(partial):
-                solved = True
-                stats.probes += 1
-                extended = _match_args(atom.args, solution, subst)
-                if extended is not None:
-                    yield from _solve_literals(
-                        order, index + 1, extended, store, stats, overrides)
-            if not solved:
-                stats.probes += 1
-        else:
-            if None in partial:
-                raise EvaluationError(
-                    f"negated builtin {atom} evaluated with unbound arguments")
-            stats.probes += 1
-            if not any(True for _ in spec.solve(partial)):
-                yield from _solve_literals(
-                    order, index + 1, subst, store, stats, overrides)
-        return
-
-    relation = overrides.get(index)
-    if relation is None:
-        relation = store.resolve(atom)
-
-    if literal.positive:
-        pattern = _ground_args(atom.args, subst)
-        # Every lookup costs at least one probe: a full scan counts each
-        # scanned row, an index probe counts each bucket row, and an empty
-        # result still counts the lookup itself — so plans that do many
-        # fruitless probes are not reported as free.
-        yielded = False
-        for row in relation.match(pattern):
-            yielded = True
-            stats.probes += 1
-            extended = _match_args(atom.args, row, subst)
-            if extended is not None:
-                yield from _solve_literals(
-                    order, index + 1, extended, store, stats, overrides)
-        if not yielded:
-            stats.probes += 1
-    else:
-        row = _ground_args(atom.args, subst)
-        if None in row:
-            raise EvaluationError(
-                f"negated literal {atom} evaluated with unbound variables")
-        stats.probes += 1
-        if tuple(row) not in relation:
-            yield from _solve_literals(
-                order, index + 1, subst, store, stats, overrides)
-
-
-def _head_tuple(clause: Clause, subst: Substitution) -> tuple[Value, ...]:
-    row = []
-    for term in clause.head.args:
-        if isinstance(term, Const):
-            row.append(term.value)
-        else:
-            row.append(subst[term])
-    return tuple(row)
-
-
-def evaluate_clause(clause: Clause, store: RelationStore, stats: EvalStats,
-                    delta_index: Optional[int] = None,
-                    delta: Optional[Relation] = None,
-                    planner: Optional[ClausePlanner] = None,
-                    ) -> Iterator[tuple]:
-    """Yield head tuples derivable from one clause.
-
-    When ``delta_index``/``delta`` are given, the body literal at that
-    position (in source order) reads ``delta`` instead of its full relation,
-    and is scheduled first (semi-naive variant).  With a ``planner`` the
-    literal order comes from its compiled-plan cache (greedy or cost-based);
-    without one, the syntactic greedy order is re-derived on every call.
-    """
-    if planner is not None:
-        order = planner.order(clause, store.base_relation,
-                              delta_index=delta_index, stats=stats)
-    else:
-        first: Optional[Literal] = None
-        if delta_index is not None:
-            first = clause.body[delta_index]
-        order = order_body(clause, first=first)
-    overrides: dict[int, Relation] = {}
-    if delta_index is not None and delta is not None:
-        # ``first`` landed at position 0 of the ordering.
-        overrides[0] = delta
-    for subst in _solve_literals(order, 0, {}, store, stats, overrides):
-        stats.firings += 1
-        yield _head_tuple(clause, subst)
 
 
 def _recursive_positions(clause: Clause,
@@ -582,34 +443,4 @@ def evaluate(program: Program, db: Database,
                     wall_s=perf_counter() - start,
                     derived=stats.total_derived, probes=stats.probes,
                     firings=stats.firings, iterations=stats.iterations)
-    return store.as_database(db.udomain | program.u_constants()), stats
-
-
-def evaluate_naive(program: Program, db: Database,
-                   id_provider: Optional[IdProvider] = None,
-                   ) -> tuple[Database, EvalStats]:
-    """The reference evaluator: naive rounds of :func:`evaluate_clause`.
-
-    Deliberately small and independent of the production path — no
-    planner, no batch executor, no tracer.  Each stratum repeats full
-    passes over its clauses, every body in the syntactic
-    :func:`~repro.datalog.safety.order_body` order, until no relation
-    grows.  Slower than :func:`evaluate` but trivially correct; the
-    differential tests compare :func:`evaluate` (and the IDLOG engine)
-    against it on random programs.
-    """
-    stats = EvalStats()
-    store = prepare_store(program, db, id_provider, stats)
-    for stratum in stratify(program).strata:
-        clauses = [c for c in program.clauses if c.head.pred in stratum]
-        changed = bool(clauses)
-        while changed:
-            changed = False
-            stats.iterations += 1
-            for clause in clauses:
-                relation = store.relation(clause.head.pred)
-                for row in list(evaluate_clause(clause, store, stats)):
-                    if relation.add(row):
-                        stats.count_derived(clause.head.pred)
-                        changed = True
     return store.as_database(db.udomain | program.u_constants()), stats

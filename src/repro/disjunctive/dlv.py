@@ -21,11 +21,13 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from ..datalog.ast import Atom, Clause, Literal
-from ..datalog.database import Database, Relation
+from ..datalog.database import Database
+from ..datalog.executor import BatchExecutor
 from ..datalog.parser import parse_head_body_clauses
+from ..datalog.pool import GLOBAL_POOL
 from ..datalog.safety import order_body
-from ..datalog.seminaive import EvalStats, RelationStore, _solve_literals
-from ..datalog.terms import Const, Value, Var
+from ..datalog.seminaive import EvalStats, RelationStore
+from ..datalog.terms import Value, Var
 from ..errors import EvaluationError, SchemaError
 
 Fact = tuple[str, tuple[Value, ...]]
@@ -135,38 +137,21 @@ class DisjunctiveEngine:
         self._plans = [
             order_body(Clause(Atom("dlv_goal", ()), clause.body))
             for clause in program.clauses]
-
-    def _initial_state(self, db: Database) -> State:
-        facts: set[Fact] = set()
-        for name in db.relation_names():
-            for row in db.relation(name):
-                facts.add((name, row))
-        return frozenset(facts)
-
-    def _store_for(self, state: State) -> RelationStore:
-        store = RelationStore(None, EvalStats())
-        relations: dict[str, Relation] = {}
-        for pred in self.program.predicates:
-            relations[pred] = Relation(self.program.arity(pred))
-        for pred, row in state:
-            if pred not in relations:
-                relations[pred] = Relation(len(row))
-            relations[pred].add(row)
-        for pred, relation in relations.items():
-            store.install(pred, relation)
-        return store
+        self._arities = {pred: program.arity(pred)
+                         for pred in program.predicates}
+        self._executor = BatchExecutor()
 
     def _violations(self, state: State) -> Iterator[tuple[Fact, ...]]:
         """Head alternatives of ground instances violated by ``state``."""
-        store = self._store_for(state)
-        stats = EvalStats()
+        store = RelationStore.of_facts(state, self._arities)
+        decode = GLOBAL_POOL.decode_row
         for clause, plan in zip(self.program.clauses, self._plans):
-            for subst in _solve_literals(plan, 0, {}, store, stats, {}):
-                heads = tuple(
-                    (atom.pred, tuple(
-                        t.value if isinstance(t, Const) else subst[t]
-                        for t in atom.args))
-                    for atom in clause.heads)
+            layout, rows = self._executor.execute_bindings(
+                plan, store, EvalStats())
+            for row in rows:
+                binding = dict(zip(layout, decode(row)))
+                heads = tuple((atom.pred, atom.ground(binding))
+                              for atom in clause.heads)
                 if not any(h in state for h in heads):
                     yield heads
 
@@ -175,7 +160,7 @@ class DisjunctiveEngine:
         """All branch-terminal models (a superset of the minimal ones)."""
         visited: set[State] = set()
         results: set[State] = set()
-        stack = [self._initial_state(db)]
+        stack = [db.facts()]
         while stack:
             state = stack.pop()
             if state in visited:

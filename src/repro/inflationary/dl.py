@@ -28,11 +28,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from ..datalog.ast import Atom, Clause, Literal
-from ..datalog.database import Database, Relation
+from ..datalog.database import Database
+from ..datalog.executor import BatchExecutor
 from ..datalog.parser import parse_head_body_clauses
+from ..datalog.pool import GLOBAL_POOL
 from ..datalog.safety import order_body
-from ..datalog.seminaive import EvalStats, RelationStore, _solve_literals
-from ..datalog.terms import Const, Value, Var
+from ..datalog.seminaive import EvalStats, RelationStore
+from ..datalog.terms import Value, Var
 from ..errors import EvaluationError, SchemaError
 
 Fact = tuple[str, tuple[Value, ...]]
@@ -193,6 +195,9 @@ class DLEngine:
             program = parse_dl_program(program, allow_deletion)
         self.program = program
         self._plans = [self._plan(clause) for clause in self.program.clauses]
+        self._arities = {pred: program.arity(pred)
+                         for pred in program.predicates}
+        self._executor = BatchExecutor()
         self._invent_counter = 0
 
     @staticmethod
@@ -202,27 +207,6 @@ class DLEngine:
         dummy = Clause(Atom("dl_goal", ()), clause.body)
         return order_body(dummy)
 
-    def _initial_state(self, db: Database) -> State:
-        facts: set[Fact] = set()
-        for name in db.relation_names():
-            for row in db.relation(name):
-                facts.add((name, row))
-        return frozenset(facts)
-
-    def _store_for(self, state: State) -> RelationStore:
-        stats = EvalStats()
-        store = RelationStore(None, stats)
-        relations: dict[str, Relation] = {}
-        for pred in self.program.predicates:
-            relations[pred] = Relation(self.program.arity(pred))
-        for pred, row in state:
-            if pred not in relations:
-                relations[pred] = Relation(len(row))
-            relations[pred].add(row)
-        for pred, relation in relations.items():
-            store.install(pred, relation)
-        return store
-
     def _fresh_value(self) -> str:
         self._invent_counter += 1
         return f"new_{self._invent_counter}"
@@ -230,27 +214,26 @@ class DLEngine:
     def firings(self, state: State,
                 invent: bool = True) -> Iterator[Firing]:
         """All productive instantiations applicable in ``state``."""
-        store = self._store_for(state)
-        stats = EvalStats()
+        store = RelationStore.of_facts(state, self._arities)
+        decode = GLOBAL_POOL.decode_row
         for clause, plan in zip(self.program.clauses, self._plans):
             invented = clause.invented_vars
             if invented and not invent:
                 raise EvaluationError(
                     f"clause {clause} invents values; exhaustive "
                     "enumeration over invented values is not supported")
-            for subst in _solve_literals(plan, 0, {}, store, stats, {}):
-                full = dict(subst)
+            layout, rows = self._executor.execute_bindings(
+                plan, store, EvalStats())
+            for row in rows:
+                full = dict(zip(layout, decode(row)))
                 for var in invented:
                     full[var] = self._fresh_value()
                 adds: set[Fact] = set()
                 deletes: set[Fact] = set()
                 for literal in clause.heads:
                     atom = literal.atom
-                    row = tuple(
-                        t.value if isinstance(t, Const) else full[t]
-                        for t in atom.args)
                     (adds if literal.positive else deletes).add(
-                        (atom.pred, row))
+                        (atom.pred, atom.ground(full)))
                 if adds & deletes:
                     continue  # inconsistent head: not fireable
                 firing = Firing(frozenset(adds), frozenset(deletes))
@@ -261,7 +244,7 @@ class DLEngine:
             max_steps: int = 10_000) -> State:
         """One terminal state of the non-deterministic semantics."""
         rng = random.Random(seed)
-        state = self._initial_state(db)
+        state = db.facts()
         for _ in range(max_steps):
             choices = list(self.firings(state))
             if not choices:
@@ -277,7 +260,7 @@ class DLEngine:
         if self.program.has_invention:
             raise EvaluationError(
                 "answer-set enumeration over invented values is unsupported")
-        initial = self._initial_state(db)
+        initial = db.facts()
         visited: set[State] = set()
         results: set[frozenset[tuple]] = set()
         stack = [initial]
@@ -308,7 +291,7 @@ class DLEngine:
             raise EvaluationError(
                 "the deterministic inflationary semantics is only defined "
                 "for DL programs (no deletions)")
-        state = self._initial_state(db)
+        state = db.facts()
         for _ in range(max_stages):
             adds: set[Fact] = set()
             for firing in self.firings(state):

@@ -19,12 +19,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
 
-from ..datalog.ast import Atom, Clause, Program
-from ..datalog.database import Database, Relation
+from ..datalog.ast import Clause, Program
+from ..datalog.database import Database
+from ..datalog.executor import BatchExecutor
 from ..datalog.parser import parse_program
+from ..datalog.pool import GLOBAL_POOL
 from ..datalog.safety import order_body
-from ..datalog.seminaive import EvalStats, RelationStore, _solve_literals
-from ..datalog.terms import Const, Value
+from ..datalog.seminaive import EvalStats, RelationStore, evaluate
+from ..datalog.terms import Value
+from ..datalog.trace import NullTracer
 from ..errors import EvaluationError
 
 Fact = tuple[str, tuple[Value, ...]]
@@ -69,78 +72,45 @@ class StableEngine:
             for c in program.clauses), name="envelope")
 
     def _initial_facts(self, db: Database) -> State:
-        facts: set[Fact] = set()
-        for name in db.relation_names():
-            if name in self.program.predicates:
-                for row in db.relation(name):
-                    facts.add((name, row))
-        return frozenset(facts)
-
-    def _store_for(self, state: State) -> RelationStore:
-        store = RelationStore(None, EvalStats())
-        relations: dict[str, Relation] = {}
-        for pred in self.program.predicates:
-            relations[pred] = Relation(self.program.arity(pred))
-        for pred, row in state:
-            relations[pred].add(row)
-        for pred, relation in relations.items():
-            store.install(pred, relation)
-        return store
+        predicates = self.program.predicates
+        return frozenset(fact for fact in db.facts()
+                         if fact[0] in predicates)
 
     def upper_bound(self, db: Database) -> State:
-        """The least model of the positive envelope: ⊇ every stable model."""
-        state = set(self._initial_facts(db))
-        changed = True
-        plans = []
-        for clause in self._envelope.clauses:
-            positive_only = tuple(
-                lit for lit in clause.body
-                if lit.positive or lit.atom.is_builtin)
-            plans.append((clause, order_body(Clause(clause.head,
-                                                    positive_only))))
-        while changed:
-            changed = False
-            store = self._store_for(frozenset(state))
-            stats = EvalStats()
-            for clause, plan in plans:
-                for subst in list(_solve_literals(plan, 0, {}, store,
-                                                  stats, {})):
-                    row = tuple(
-                        t.value if isinstance(t, Const) else subst[t]
-                        for t in clause.head.args)
-                    fact = (clause.head.pred, row)
-                    if fact not in state:
-                        state.add(fact)
-                        changed = True
-        return frozenset(state)
+        """The least model of the positive envelope: ⊇ every stable model.
+
+        An internal step of the search, so it emits no span events even
+        under an ambient tracer.
+        """
+        model, _ = evaluate(self._envelope, db, tracer=NullTracer())
+        return self._initial_facts(db) | frozenset(
+            (pred, row) for pred in self._envelope.head_predicates
+            for row in model.relation(pred))
 
     def ground_clauses(self, db: Database) -> list[GroundClause]:
         """Ground instances whose positive body lies inside the envelope."""
-        bound = self.upper_bound(db)
-        store = self._store_for(bound)
+        program = self.program
+        store = RelationStore.of_facts(self.upper_bound(db), {
+            pred: program.arity(pred) for pred in program.predicates})
+        executor = BatchExecutor()
+        decode = GLOBAL_POOL.decode_row
         out: list[GroundClause] = []
-        for clause in self.program.clauses:
-            # Plan with negative relation literals removed but comparisons
-            # kept: negatives are recorded, not joined.
-            plan_body = tuple(
-                lit for lit in clause.body
-                if lit.positive or lit.atom.is_builtin)
-            plan = order_body(Clause(clause.head, plan_body))
-            negatives = tuple(
-                lit.atom for lit in clause.body
-                if not lit.positive and not lit.atom.is_builtin)
-            stats = EvalStats()
-            for subst in _solve_literals(plan, 0, {}, store, stats, {}):
-                def ground(atom: Atom) -> Fact:
-                    return (atom.pred, tuple(
-                        t.value if isinstance(t, Const) else subst[t]
-                        for t in atom.args))
-                head = ground(clause.head)
-                positive = tuple(
-                    ground(lit.atom) for lit in clause.body
-                    if lit.positive and not lit.atom.is_builtin)
-                negative = tuple(ground(atom) for atom in negatives)
-                out.append(GroundClause(head, positive, negative))
+        # Each clause runs as its envelope clause (negative relation
+        # literals removed, comparisons kept): negatives are recorded,
+        # not joined.
+        for clause, envelope in zip(program.clauses, self._envelope.clauses):
+            positives = tuple(lit.atom for lit in clause.body
+                              if lit.positive and not lit.atom.is_builtin)
+            negatives = tuple(lit.atom for lit in clause.body
+                              if not lit.positive and not lit.atom.is_builtin)
+            layout, rows = executor.execute_bindings(
+                order_body(envelope), store, EvalStats())
+            for row in rows:
+                binding = dict(zip(layout, decode(row)))
+                out.append(GroundClause(
+                    (clause.head.pred, clause.head.ground(binding)),
+                    tuple((a.pred, a.ground(binding)) for a in positives),
+                    tuple((a.pred, a.ground(binding)) for a in negatives)))
         return out
 
     @staticmethod

@@ -1,11 +1,19 @@
-"""Randomized program/database generators and the reference model for
-differential testing.
+"""The reference solver, the reference model, and randomized
+program/database generators for differential testing.
 
 Exposed as library code (rather than test-internal helpers) so downstream
 users can fuzz their own extensions the way this repository's property
 tests do: generate a random stratified program, evaluate it under two
 implementations (the engine vs :func:`oracle_model`, original vs
 optimized, direct vs magic), and compare.
+
+The reference solver is the tuple-at-a-time :func:`evaluate_clause`
+(recursive substitution dicts over value-level ``Relation.match``) and
+:func:`evaluate_naive`, plain naive rounds of it.  Production fires rules
+only through the batch executor (:mod:`repro.datalog.executor`); this
+solver is deliberately separate so the differential tests compare two
+independent implementations — rows and bindings in the same order, with
+equal probes and firings.
 
 Generation is *correct by construction* where cheap (stratification comes
 from a level discipline: a predicate's body only uses lower-or-equal
@@ -17,18 +25,189 @@ are re-drawn).
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core.assignment import CanonicalAssignment
 from .core.choicelog import ChoiceLog
 from .core.engine import ReplayIdProvider, _StrategyIdProvider
 from .core.idrelations import enumerate_id_functions, make_id_relation
 from .datalog.ast import Atom, Clause, Literal, Program
+from .datalog.builtins import builtin_spec
 from .datalog.database import Database, Relation
-from .datalog.safety import check_clause
-from .datalog.seminaive import EvalStats, evaluate_naive
-from .datalog.terms import Const, Var
-from .errors import SafetyError
+from .datalog.planner import ClausePlanner
+from .datalog.safety import check_clause, order_body
+from .datalog.seminaive import (EvalStats, IdProvider, RelationStore,
+                                prepare_store)
+from .datalog.stratify import stratify
+from .datalog.terms import Const, Value, Var
+from .errors import EvaluationError, SafetyError
+
+
+Substitution = dict[Var, Value]
+
+
+def _match_args(args: tuple, row: tuple[Value, ...],
+                subst: Substitution) -> Optional[Substitution]:
+    """Extend ``subst`` so that ``args`` matches ``row``; None on clash."""
+    new_bindings: Substitution = {}
+    for term, value in zip(args, row):
+        if isinstance(term, Const):
+            if term.value != value:
+                return None
+        else:
+            seen = subst.get(term, new_bindings.get(term))
+            if seen is None:
+                new_bindings[term] = value
+            elif seen != value:
+                return None
+    if not new_bindings:
+        return subst
+    merged = dict(subst)
+    merged.update(new_bindings)
+    return merged
+
+
+def _ground_args(args: tuple, subst: Substitution) -> tuple:
+    """Instantiate args to values/None under ``subst`` (None = unbound)."""
+    out = []
+    for term in args:
+        if isinstance(term, Const):
+            out.append(term.value)
+        else:
+            out.append(subst.get(term))
+    return tuple(out)
+
+
+def _solve_literals(order: tuple[Literal, ...], index: int,
+                    subst: Substitution, store: RelationStore,
+                    stats: EvalStats,
+                    overrides: dict[int, Relation]) -> Iterator[Substitution]:
+    """Recursively enumerate substitutions satisfying ``order[index:]``.
+
+    ``overrides`` maps positions in ``order`` to replacement relations —
+    the mechanism by which semi-naive evaluation substitutes a delta for one
+    occurrence of a recursive predicate.
+    """
+    if index == len(order):
+        yield subst
+        return
+    literal = order[index]
+    atom = literal.atom
+    assert isinstance(atom, Atom)
+
+    if atom.is_builtin:
+        partial = _ground_args(atom.args, subst)
+        spec = builtin_spec(atom.pred)
+        if literal.positive:
+            solved = False
+            for solution in spec.solve(partial):
+                solved = True
+                stats.probes += 1
+                extended = _match_args(atom.args, solution, subst)
+                if extended is not None:
+                    yield from _solve_literals(
+                        order, index + 1, extended, store, stats, overrides)
+            if not solved:
+                stats.probes += 1
+        else:
+            if None in partial:
+                raise EvaluationError(
+                    f"negated builtin {atom} evaluated with unbound arguments")
+            stats.probes += 1
+            if not any(True for _ in spec.solve(partial)):
+                yield from _solve_literals(
+                    order, index + 1, subst, store, stats, overrides)
+        return
+
+    relation = overrides.get(index)
+    if relation is None:
+        relation = store.resolve(atom)
+
+    if literal.positive:
+        pattern = _ground_args(atom.args, subst)
+        # Every lookup costs at least one probe: a full scan counts each
+        # scanned row, an index probe counts each bucket row, and an empty
+        # result still counts the lookup itself — so plans that do many
+        # fruitless probes are not reported as free.
+        yielded = False
+        for row in relation.match(pattern):
+            yielded = True
+            stats.probes += 1
+            extended = _match_args(atom.args, row, subst)
+            if extended is not None:
+                yield from _solve_literals(
+                    order, index + 1, extended, store, stats, overrides)
+        if not yielded:
+            stats.probes += 1
+    else:
+        row = _ground_args(atom.args, subst)
+        if None in row:
+            raise EvaluationError(
+                f"negated literal {atom} evaluated with unbound variables")
+        stats.probes += 1
+        if tuple(row) not in relation:
+            yield from _solve_literals(
+                order, index + 1, subst, store, stats, overrides)
+
+
+def evaluate_clause(clause: Clause, store: RelationStore, stats: EvalStats,
+                    delta_index: Optional[int] = None,
+                    delta: Optional[Relation] = None,
+                    planner: Optional[ClausePlanner] = None,
+                    ) -> Iterator[tuple]:
+    """Yield head tuples derivable from one clause.
+
+    When ``delta_index``/``delta`` are given, the body literal at that
+    position (in source order) reads ``delta`` instead of its full relation,
+    and is scheduled first (semi-naive variant).  With a ``planner`` the
+    literal order comes from its compiled-plan cache (greedy or cost-based);
+    without one, the syntactic greedy order is re-derived on every call.
+    """
+    if planner is not None:
+        order = planner.order(clause, store.base_relation,
+                              delta_index=delta_index, stats=stats)
+    else:
+        first: Optional[Literal] = None
+        if delta_index is not None:
+            first = clause.body[delta_index]
+        order = order_body(clause, first=first)
+    overrides: dict[int, Relation] = {}
+    if delta_index is not None and delta is not None:
+        # ``first`` landed at position 0 of the ordering.
+        overrides[0] = delta
+    for subst in _solve_literals(order, 0, {}, store, stats, overrides):
+        stats.firings += 1
+        yield clause.head.ground(subst)
+
+
+def evaluate_naive(program: Program, db: Database,
+                   id_provider: Optional[IdProvider] = None,
+                   ) -> tuple[Database, EvalStats]:
+    """The reference evaluator: naive rounds of :func:`evaluate_clause`.
+
+    Deliberately small and independent of the production path — no
+    planner, no batch executor, no tracer.  Each stratum repeats full
+    passes over its clauses, every body in the syntactic
+    :func:`~repro.datalog.safety.order_body` order, until no relation
+    grows.  Slower than :func:`~repro.datalog.seminaive.evaluate` but
+    trivially correct; the differential tests compare it (and the IDLOG
+    engine) against this on random programs.
+    """
+    stats = EvalStats()
+    store = prepare_store(program, db, id_provider, stats)
+    for stratum in stratify(program).strata:
+        clauses = [c for c in program.clauses if c.head.pred in stratum]
+        changed = bool(clauses)
+        while changed:
+            changed = False
+            stats.iterations += 1
+            for clause in clauses:
+                relation = store.relation(clause.head.pred)
+                for row in list(evaluate_clause(clause, store, stats)):
+                    if relation.add(row):
+                        stats.count_derived(clause.head.pred)
+                        changed = True
+    return store.as_database(db.udomain | program.u_constants()), stats
 
 
 def oracle_model(program: Program, db: Database,
@@ -36,7 +215,7 @@ def oracle_model(program: Program, db: Database,
                  ) -> tuple[Database, EvalStats]:
     """The reference model of a (possibly IDLOG) program on ``db``.
 
-    :func:`~repro.datalog.seminaive.evaluate_naive` with ID-relations
+    :func:`evaluate_naive` with ID-relations
     drawn canonically and *without* the §4 tid-bound rewrite — so
     comparing it with ``IdlogEngine.run`` also checks that the rewrite
     preserves every head relation — or, with ``log``, re-applied from a
@@ -74,7 +253,7 @@ def oracle_answers(program: Program, db: Database, pred: str,
     of ID-functions.
 
     A depth-first odometer over the (predicate, grouping) pairs in the
-    order :func:`~repro.datalog.seminaive.evaluate_naive` first reads
+    order :func:`evaluate_naive` first reads
     them — a pair's base depends only on the choices made before it, so
     advancing the last pair and re-discovering the ones after it visits
     every combination exactly once.  ``limits`` maps pairs to tid limits

@@ -1,6 +1,6 @@
 """Differential properties of the columnar batch engine against the oracle.
 
-The oracle is :func:`repro.datalog.seminaive.evaluate_naive` — plain
+The oracle is :func:`repro.testing.evaluate_naive` — plain
 naive rounds of the tuple-at-a-time ``evaluate_clause`` over the
 value-level ``Relation`` API — wrapped by :func:`repro.testing
 .oracle_model` for IDLOG programs.  These tests drive randomly generated
@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from repro.core import IdlogEngine
 from repro.core.choicelog import ChoiceLog
 from repro.core.idrelations import validate_id_function
-from repro.datalog.seminaive import evaluate, evaluate_naive
-from repro.testing import (oracle_model, random_edb, random_idlog_program,
-                           random_stratified_program)
+from repro.datalog.seminaive import evaluate
+from repro.testing import (evaluate_naive, oracle_model, random_edb,
+                           random_idlog_program, random_stratified_program)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 plans = st.sampled_from(("greedy", "cost"))

@@ -3,8 +3,9 @@
 The differential property tests (tests/test_property_random.py) cover
 whole-program agreement with the naive oracle; these exercise the
 executor surface directly — single-clause pipelines against the
-tuple-at-a-time ``evaluate_clause`` with equal rows, ``probes`` and
-``firings`` — plus the pipeline-cache counters.
+tuple-at-a-time ``evaluate_clause``, and the bindings entry point against
+``_solve_literals``, with equal rows / bindings in the same order and
+equal ``probes`` and ``firings`` — plus the pipeline-cache counters.
 """
 
 import random
@@ -19,10 +20,12 @@ from repro.datalog.executor import BatchExecutor
 from repro.datalog.parser import parse_program
 from repro.datalog.planner import ClausePlanner
 from repro.datalog.pool import GLOBAL_POOL
-from repro.datalog.seminaive import (EvalStats, evaluate, evaluate_clause,
-                                     evaluate_naive, prepare_store)
+from repro.datalog.safety import order_body
+from repro.datalog.seminaive import EvalStats, evaluate, prepare_store
+from repro.datalog.terms import Var
 from repro.errors import EvaluationError
-from repro.testing import random_edb, random_stratified_program
+from repro.testing import (_solve_literals, evaluate_clause, evaluate_naive,
+                           random_edb, random_stratified_program)
 
 
 def single_clause(text):
@@ -41,7 +44,7 @@ def run_clause_both(program, clause, db, delta_index=None, delta=None,
                     plan=None):
     """Execute one clause with the batch executor and ``evaluate_clause``
     on identical fresh stores; return (batch rows, oracle rows, stats
-    pair)."""
+    pair), rows in derivation order."""
     outputs = []
     stats_pair = []
     for batch in (True, False):
@@ -54,9 +57,25 @@ def run_clause_both(program, clause, db, delta_index=None, delta=None,
             rows = execute(clause, store, stats, **kwargs)
         else:
             rows = list(evaluate_clause(clause, store, stats, **kwargs))
-        outputs.append(sorted(rows))
+        outputs.append(rows)
         stats_pair.append(stats)
     return outputs[0], outputs[1], stats_pair
+
+
+def run_bindings_both(program, order, db, seed=None, overrides=None):
+    """Run one literal order through ``execute_bindings`` and
+    ``_solve_literals`` on identical fresh stores; return (batch bindings,
+    oracle bindings, stats pair), bindings as dicts in enumeration
+    order."""
+    batch_stats, oracle_stats = EvalStats(), EvalStats()
+    store = prepare_store(program, db, None, batch_stats)
+    layout, rows = BatchExecutor().execute_bindings(
+        order, store, batch_stats, seed, overrides)
+    batch = [dict(zip(layout, GLOBAL_POOL.decode_row(row))) for row in rows]
+    store = prepare_store(program, db, None, oracle_stats)
+    oracle = list(_solve_literals(order, 0, dict(seed or {}), store,
+                                  oracle_stats, overrides or {}))
+    return batch, oracle, (batch_stats, oracle_stats)
 
 
 def run_both(text, facts, delta_index=None, delta=None):
@@ -174,6 +193,48 @@ class TestAgainstInterpreter:
         assert rows == []
 
 
+class TestBindings:
+    """The bindings entry point on hand-picked shapes."""
+
+    def test_seeded_bindings(self):
+        program, clause = single_clause("p(X, Z) :- e(X, Y), e(Y, Z).")
+        db = Database.from_facts(
+            {"e": [("a", "b"), ("b", "c"), ("b", "d"), ("a", "c")]})
+        seed = clause.head.unify(("a", "c"))
+        order = order_body(clause, initially_bound=frozenset(seed))
+        batch, oracle, (bs, os_) = run_bindings_both(program, order, db,
+                                                     seed)
+        assert batch == oracle
+        assert [b[Var("Y")] for b in batch] == ["b"]
+        assert bs.probes == os_.probes
+
+    def test_unknown_seed_value_matches_nothing_and_is_not_interned(self):
+        program, clause = single_clause("p(X) :- q(X).")
+        db = Database.from_facts({"q": [("a",)]})
+        store = prepare_store(program, db, None, EvalStats())
+        seed = {clause.head.args[0]: "never-seen-constant"}
+        size = len(GLOBAL_POOL)
+        layout, rows = BatchExecutor().execute_bindings(
+            order_body(clause, initially_bound=frozenset(seed)), store,
+            EvalStats(), seed)
+        assert rows == []
+        assert layout[0] == clause.head.args[0]
+        assert len(GLOBAL_POOL) == size
+        assert "never-seen-constant" not in GLOBAL_POOL
+
+    def test_overrides_at_two_positions(self):
+        program, clause = single_clause("p(X, Z) :- e(X, Y), e(Y, Z).")
+        db = Database.from_facts(
+            {"e": [("a", "b"), ("b", "c"), ("b", "b")]})
+        pin = Relation(2, tuples=[("b", "b")])
+        order = order_body(clause)
+        batch, oracle, (bs, os_) = run_bindings_both(
+            program, order, db, overrides={0: pin, 1: pin})
+        assert batch == oracle
+        assert [(b[Var("X")], b[Var("Z")]) for b in batch] == [("b", "b")]
+        assert bs.probes == os_.probes
+
+
 class TestPipelineCache:
     def test_pipelines_cached_per_clause_and_delta(self):
         program = parse_program("""
@@ -199,7 +260,7 @@ class TestErrors:
         pos = Literal(Atom("r", (Var("X"),)))
         clause = Clause(Atom("p", (Var("X"),)), (neg, pos))
         with pytest.raises(EvaluationError):
-            _Pipeline(clause, (neg, pos))
+            _Pipeline((neg, pos), clause.head)
 
 
 class TestRandomClauses:
@@ -228,3 +289,40 @@ class TestRandomClauses:
                 assert batch == oracle, where
                 assert bs.probes == os_.probes, where
                 assert bs.firings == os_.firings, where
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_bindings_match_solve_literals(self, seed):
+        """The bindings entry point on every clause of a random program,
+        seeded from the clause's head rows (the provenance / DRed shape)
+        and with two positive literals overridden (the counting shape):
+        equal bindings in the same order, and equal probes."""
+        program = random_stratified_program(
+            random.Random(seed), n_edb=3, n_idb=3, allow_builtins=True)
+        db, _ = evaluate_naive(
+            program, random_edb(program, random.Random(seed + 1)))
+        for clause in program.clauses:
+            cases = []
+            for row in list(db.relation(clause.head.pred))[:3]:
+                binding = clause.head.unify(row)
+                if binding is not None:
+                    order = order_body(
+                        clause, initially_bound=frozenset(binding))
+                    cases.append((order, binding, None))
+            order = order_body(clause)
+            joins = [i for i, literal in enumerate(order)
+                     if literal.positive and not literal.atom.is_builtin]
+            if len(joins) >= 2:
+                overrides = {}
+                for i in joins[:2]:
+                    rows = list(db.relation(order[i].atom.pred))
+                    overrides[i] = Relation(
+                        len(order[i].atom.args),
+                        tuples=rows[:(len(rows) + 1) // 2])
+                cases.append((order, None, overrides))
+            for order, binding, overrides in cases:
+                batch, oracle, (bs, os_) = run_bindings_both(
+                    program, order, db, binding, overrides)
+                where = (seed, str(clause), binding, overrides)
+                assert batch == oracle, where
+                assert bs.probes == os_.probes, where

@@ -23,6 +23,7 @@ from repro.cli import main
 from repro.core.choicelog import ChoiceLog
 from repro.server import (ServerClient, ServerConfig, ServerThread,
                           ServerError, http_get)
+from repro.server.service import IdlogService
 
 TC_PROGRAM = """
   path(X, Y) :- edge(X, Y).
@@ -53,6 +54,24 @@ def start_serve(tmp_path, *extra) -> tuple[subprocess.Popen, str, int]:
     return proc, host, int(port)
 
 
+@pytest.fixture
+def held_run(monkeypatch):
+    """Hold every ``run`` request in its handler until the test sets
+    ``release``; ``started`` is set once one is held.  The drain tests
+    need a request that outlasts ``shutdown`` — gating it here keeps
+    their outcome independent of how fast the engine evaluates."""
+    started, release = threading.Event(), threading.Event()
+    handle_run = IdlogService._handle_run
+
+    def held(self, request, context):
+        started.set()
+        release.wait(30)
+        return handle_run(self, request, context)
+
+    monkeypatch.setattr(IdlogService, "_handle_run", held)
+    return started, release
+
+
 class TestShutdown:
     def test_shutdown_request_stops_server(self):
         handle = ServerThread().start()
@@ -66,32 +85,36 @@ class TestShutdown:
         finally:
             handle.stop()
 
-    def test_requests_during_shutdown_get_typed_error(self):
+    def test_requests_during_shutdown_get_typed_error(self, held_run):
+        started, release = held_run
         handle = ServerThread(ServerConfig(drain_s=5.0)).start()
         try:
             with handle.client() as client:
-                # keep the drain busy so the connection stays open long
+                # hold a run in flight so the connection stays open long
                 # enough to observe the typed refusal
                 sid = client.call("open_session")["session"]
                 client.call("assert_facts", session=sid,
-                            facts={"edge": [[f"n{i}", f"n{i + 1}"]
-                                            for i in range(900)]})
+                            facts={"edge": [["a", "b"], ["b", "c"]]})
                 slow_id = client.send({"type": "run", "session": sid,
                                        "program": TC_PROGRAM})
+                assert started.wait(10)
                 client.call("shutdown")
                 with pytest.raises(ServerError) as err:
                     client.call("ping")
                 assert err.value.error_type == "shutting_down"
                 # the in-flight request still completes during the drain
+                release.set()
                 response = client.recv_for(slow_id)
                 assert response["ok"] is True
         finally:
+            release.set()
             handle.stop()
 
-    def test_healthz_reports_draining(self):
+    def test_healthz_reports_draining(self, held_run):
         """While in-flight work drains, the listener stays bound and
         ``/healthz`` flips to an explicit 503 "draining" — balancers
         see not-ready, not connection-refused."""
+        started, release = held_run
         handle = ServerThread(ServerConfig(drain_s=5.0)).start()
         try:
             host, port = handle.address
@@ -100,10 +123,10 @@ class TestShutdown:
             with handle.client() as client:
                 sid = client.call("open_session")["session"]
                 client.call("assert_facts", session=sid,
-                            facts={"edge": [[f"n{i}", f"n{i + 1}"]
-                                            for i in range(900)]})
+                            facts={"edge": [["a", "b"], ["b", "c"]]})
                 slow_id = client.send({"type": "run", "session": sid,
                                        "program": TC_PROGRAM})
+                assert started.wait(10)
                 client.call("shutdown")
                 code, body = http_get(host, port, "/healthz")
                 assert code == 503
@@ -111,8 +134,10 @@ class TestShutdown:
                 assert payload["status"] == "draining"
                 assert payload["stopping"] is True
                 # the drain still completes the in-flight request
+                release.set()
                 assert client.recv_for(slow_id)["ok"] is True
         finally:
+            release.set()
             handle.stop()
 
     def test_sessions_dropped_on_shutdown(self):

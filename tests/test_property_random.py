@@ -17,13 +17,14 @@ from repro.datalog.ast import Atom
 from repro.datalog.engine import DatalogEngine
 from repro.datalog.parser import parse_program
 from repro.datalog.pretty import to_source
-from repro.datalog.seminaive import evaluate, evaluate_naive
+from repro.datalog.seminaive import evaluate
 from repro.datalog.stratify import stratify
 from repro.datalog.terms import Var
 from repro.datalog.topdown import TopDownEngine
 from repro.optimizer import magic_rewrite, optimize
-from repro.testing import (oracle_answers, oracle_model, random_edb,
-                           random_idlog_program, random_stratified_program)
+from repro.testing import (evaluate_naive, oracle_answers, oracle_model,
+                           random_edb, random_idlog_program,
+                           random_stratified_program)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 

@@ -21,8 +21,7 @@ from .dbp import UDOM_PREDICATE, database_program, strip_database_program
 from .engine import IdlogEngine, ReplayIdProvider
 from .idrelations import (Grouping, IdFunction, canonical_id_function,
                           count_id_functions, enumerate_id_functions,
-                          group_key, id_function_orderings, id_relations_of,
-                          make_id_relation, ordering_to_id_function,
+                          group_key, id_relations_of, make_id_relation,
                           random_id_function, sub_relations,
                           validate_id_function)
 from .models import (IdlogInterpretation, check_interpretation, is_model,
@@ -41,9 +40,9 @@ __all__ = [
     "ChoiceDivergence", "ChoiceLog", "ChoiceRecord", "DivergenceReport",
     "block_digest", "choice_records", "diverge", "format_divergence",
     "Grouping", "IdFunction", "canonical_id_function", "count_id_functions",
-    "enumerate_id_functions", "group_key", "id_function_orderings",
-    "id_relations_of", "make_id_relation", "ordering_to_id_function",
-    "random_id_function", "sub_relations", "validate_id_function",
+    "enumerate_id_functions", "group_key", "id_relations_of",
+    "make_id_relation", "random_id_function", "sub_relations",
+    "validate_id_function",
     "IdlogProgram", "compute_tid_limits",
     "Answer", "IdlogQuery", "answers_equal", "permute_answer",
     "permute_database",

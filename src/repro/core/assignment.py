@@ -62,7 +62,8 @@ class OracleAssignment:
     """Assignment from an explicit table of ID-functions.
 
     Args:
-        table: Maps (predicate, grouping) to an ID-function.
+        table: Maps (predicate, grouping) to an ID-function, i.e. to the
+            per-block tuple orderings (block key -> tuples in tid order).
         fallback: Strategy consulted for pairs missing from the table
             (default: none — missing pairs are an error, which keeps
             enumeration honest).
@@ -72,31 +73,6 @@ class OracleAssignment:
                  fallback: Optional[AssignmentStrategy] = None) -> None:
         self._table = dict(table)
         self._fallback = fallback
-
-    @classmethod
-    def from_choice_log(cls, log,
-                        fallback: Optional[AssignmentStrategy] = None,
-                        ) -> "OracleAssignment":
-        """Build an oracle from a recorded choice log.
-
-        Each recorded ``(pred, group)`` pair becomes an explicit
-        ID-function assembled from its per-block orderings (tid = index
-        in the ordering; a prefix-limited recording yields the matching
-        partial function).  Convenience for tests and oracles — for
-        faithful replay with drift *diagnosis*, use
-        :meth:`repro.core.engine.IdlogEngine.replay` instead, which also
-        re-checks the recorded block digests.
-        """
-        from .idrelations import ordering_to_id_function
-        orderings: dict[tuple[str, Grouping], list] = {}
-        for record in log:
-            key = (record.pred, frozenset(record.group))
-            orderings.setdefault(key, []).append(record.ordering)
-        table = {key: ordering_to_id_function(blocks)
-                 for key, blocks in orderings.items()}
-        for pred, group in log.groupings():
-            table.setdefault((pred, frozenset(group)), {})
-        return cls(table, fallback=fallback)
 
     def id_function(self, pred: str, group: Grouping,
                     base: Relation) -> IdFunction:

@@ -33,11 +33,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
-from ..datalog.database import Relation
 from ..datalog.trace import EV_ID_CHOICE, SCHEMA_VERSION
 from ..errors import ReproError
-from .idrelations import (Grouping, IdFunction, id_function_orderings,
-                          sub_relations)
+from .idrelations import Grouping, IdFunction
 
 
 def block_digest(rows: Iterable[tuple]) -> str:
@@ -97,24 +95,24 @@ class ChoiceRecord:
         }
 
 
-def choice_records(pred: str, group: Grouping, base: Relation,
-                   id_function: IdFunction,
+def choice_records(pred: str, group: Grouping, id_function: IdFunction,
                    limit: Optional[int] = None) -> list[ChoiceRecord]:
     """The :class:`ChoiceRecord` per block of one ID-function application.
 
-    Blocks are emitted in deterministic (repr-sorted key) order, so two
-    logs of the same decisions are comparable line by line regardless of
-    relation iteration order.
+    ``id_function`` must order every tuple of each block, as a draw
+    does: digest and size cover the full block, the record keeps the
+    ``limit``-prefix.  Blocks are emitted in deterministic (repr-sorted
+    key) order, so two logs of the same decisions are comparable line by
+    line regardless of relation iteration order.
     """
-    blocks = sub_relations(base, group)
-    orderings = id_function_orderings(base, group, id_function, limit)
     gtuple = tuple(sorted(group))
     return [
         ChoiceRecord(pred=pred, group=gtuple, block=key,
-                     block_digest=block_digest(blocks[key]),
-                     block_size=len(blocks[key]),
-                     ordering=orderings[key], tid_limit=limit)
-        for key in sorted(blocks, key=repr)]
+                     block_digest=block_digest(ordering),
+                     block_size=len(ordering),
+                     ordering=tuple(ordering[:limit]), tid_limit=limit)
+        for key, ordering in sorted(id_function.items(),
+                                    key=lambda item: repr(item[0]))]
 
 
 def _tupled(value):
@@ -148,7 +146,7 @@ class ChoiceLog:
 
     # -- building ----------------------------------------------------------
 
-    def record_assignment(self, pred: str, group: Grouping, base: Relation,
+    def record_assignment(self, pred: str, group: Grouping,
                           id_function: IdFunction,
                           limit: Optional[int] = None) -> list[ChoiceRecord]:
         """Record one ID-function application; returns its new records."""
@@ -158,7 +156,7 @@ class ChoiceLog:
                 f"choice log already holds a decision for "
                 f"{pred}[{','.join(map(str, gtuple))}]; one log records "
                 "one evaluation")
-        records = choice_records(pred, group, base, id_function, limit)
+        records = choice_records(pred, group, id_function, limit)
         self._groups[(pred, gtuple)] = {
             "tid_limit": limit,
             "blocks": {rec.block: rec for rec in records}}
@@ -255,25 +253,22 @@ class ChoiceLog:
             log._groups[key] = {"tid_limit": entry.get("tid_limit"),
                                 "blocks": {}}
         for fields in data.get("choices", ()):
-            log._add_loaded(fields)
+            record = ChoiceRecord(
+                pred=fields["pred"], group=tuple(fields["group"]),
+                block=_tupled(fields["block"]),
+                block_digest=fields["block_digest"],
+                block_size=fields["block_size"],
+                ordering=tuple(_tupled(row) for row in fields["ordering"]),
+                tid_limit=fields.get("tid_limit"))
+            entry = log._groups.setdefault(
+                (record.pred, record.group),
+                {"tid_limit": record.tid_limit, "blocks": {}})
+            entry["blocks"][record.block] = record
+            log.records.append(record)
         log.answers = {
             pred: tuple(_tupled(row) for row in rows)
             for pred, rows in data.get("answers", {}).items()}
         return log
-
-    def _add_loaded(self, fields: Mapping) -> None:
-        record = ChoiceRecord(
-            pred=fields["pred"], group=tuple(fields["group"]),
-            block=_tupled(fields["block"]),
-            block_digest=fields["block_digest"],
-            block_size=fields["block_size"],
-            ordering=tuple(_tupled(row) for row in fields["ordering"]),
-            tid_limit=fields.get("tid_limit"))
-        entry = self._groups.setdefault(
-            (record.pred, record.group),
-            {"tid_limit": record.tid_limit, "blocks": {}})
-        entry["blocks"][record.block] = record
-        self.records.append(record)
 
     def save(self, sink: Union[str, TextIO]) -> None:
         """Write the log as JSONL (header, ``id_choice`` lines, answers).
@@ -283,28 +278,20 @@ class ChoiceLog:
         ``id_choice`` trace event, each stamped with
         :data:`~repro.datalog.trace.SCHEMA_VERSION`.
         """
+        data = self.to_jsonable()
+        lines = [{"event": "choice_log", "schema": data["schema"],
+                  "meta": data["meta"], "groupings": data["groupings"]}]
+        lines.extend({"event": EV_ID_CHOICE, "seq": seq,
+                      "schema": SCHEMA_VERSION, **fields}
+                     for seq, fields in enumerate(data["choices"]))
+        if data["answers"]:
+            lines.append({"event": "answers", "schema": SCHEMA_VERSION,
+                          "answers": data["answers"]})
         handle = open(sink, "w", encoding="utf-8") \
             if isinstance(sink, str) else sink
         try:
-            header = {"event": "choice_log", "schema": SCHEMA_VERSION,
-                      "meta": self.meta,
-                      "groupings": [
-                          {"pred": pred, "group": list(gtuple),
-                           "tid_limit": entry["tid_limit"]}
-                          for (pred, gtuple), entry
-                          in self._groups.items()]}
-            handle.write(json.dumps(header) + "\n")
-            for seq, record in enumerate(self.records):
-                line = {"event": EV_ID_CHOICE, "seq": seq,
-                        "schema": SCHEMA_VERSION}
-                line.update(record.as_event_fields())
+            for line in lines:
                 handle.write(json.dumps(line) + "\n")
-            if self.answers:
-                handle.write(json.dumps(
-                    {"event": "answers", "schema": SCHEMA_VERSION,
-                     "answers": {pred: [list(row) for row in rows]
-                                 for pred, rows
-                                 in sorted(self.answers.items())}}) + "\n")
         finally:
             if isinstance(sink, str):
                 handle.close()
@@ -316,13 +303,13 @@ class ChoiceLog:
         Only ``choice_log`` / ``id_choice`` / ``answers`` lines are
         interpreted; everything else (clause firings, rounds, ...) is
         skipped, which is what lets a full JSONL trace double as a
-        choice log.
+        choice log.  The lines are collected into the
+        :meth:`to_jsonable` form and read by :meth:`from_jsonable`.
         """
+        data: dict = {"choices": []}
         handle = open(source, encoding="utf-8") \
             if isinstance(source, str) else source
         try:
-            log = cls()
-            seen_choice_lines = False
             for raw in handle:
                 raw = raw.strip()
                 if not raw:
@@ -334,31 +321,22 @@ class ChoiceLog:
                         f"choice log line is not valid JSON: {exc}")
                 kind = line.get("event")
                 if kind == "choice_log":
-                    if line.get("schema") != SCHEMA_VERSION:
-                        raise ReproError(
-                            f"choice log has schema {line.get('schema')}; "
-                            f"this build reads schema {SCHEMA_VERSION}")
-                    log.meta = dict(line.get("meta", {}))
-                    for entry in line.get("groupings", ()):
-                        key = (entry["pred"], tuple(entry["group"]))
-                        log._groups.setdefault(
-                            key, {"tid_limit": entry.get("tid_limit"),
-                                  "blocks": {}})
+                    data.update(schema=line.get("schema"),
+                                meta=line.get("meta"),
+                                groupings=line.get("groupings", ()))
                 elif kind == EV_ID_CHOICE:
-                    log._add_loaded(line)
-                    seen_choice_lines = True
+                    data["choices"].append(line)
                 elif kind == "answers":
-                    log.answers = {
-                        pred: tuple(_tupled(row) for row in rows)
-                        for pred, rows in line.get("answers", {}).items()}
-            if not seen_choice_lines and not log._groups:
-                raise ReproError(
-                    "no id_choice lines found; not a choice log (or a "
-                    "trace of a run that materialized no ID-relations)")
-            return log
+                    data["answers"] = line.get("answers", {})
         finally:
             if isinstance(source, str):
                 handle.close()
+        log = cls.from_jsonable(data)
+        if not log._groups:
+            raise ReproError(
+                "no id_choice lines found; not a choice log (or a "
+                "trace of a run that materialized no ID-relations)")
+        return log
 
 
 # -- the divergence differ ---------------------------------------------------

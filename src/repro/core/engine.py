@@ -76,10 +76,9 @@ class _StrategyIdProvider:
         if self._record is not None or self._tracer is not None:
             if self._record is not None:
                 records = self._record.record_assignment(
-                    pred, group, base, id_function, limit)
+                    pred, group, id_function, limit)
             else:
-                records = choice_records(pred, group, base, id_function,
-                                         limit)
+                records = choice_records(pred, group, id_function, limit)
             if self._tracer is not None:
                 for rec in records:
                     self._tracer.emit(EV_ID_CHOICE,
@@ -156,26 +155,27 @@ class ReplayIdProvider:
                             + ("…" if len(extra) > 3 else ""))
             raise ReplayError(
                 f"database drifted under {label}: " + "; ".join(bits))
-        mapping: dict[tuple, int] = {}
         limit = self._log.limit_for(pred, group)
         for key in sorted(blocks, key=repr):
-            rec = recorded[key]
-            found = block_digest(blocks[key])
+            rec, rows = recorded[key], blocks[key]
+            found = block_digest(rows)
             if found != rec.block_digest:
                 raise ReplayError(
                     f"database drifted under {label}: block {key!r} "
                     f"digests {found} but the log expected "
-                    f"{rec.block_digest} (found {len(blocks[key])} "
+                    f"{rec.block_digest} (found {len(rows)} "
                     f"tuple(s), recorded {rec.block_size})")
-            members = set(blocks[key])
-            for tid, row in enumerate(rec.ordering):
+            members = set(rows)
+            for row in rec.ordering:
                 if row not in members:
                     raise ReplayError(
                         f"choice log is corrupt: {label} block {key!r} "
                         f"ordering lists {row!r}, which is not in the "
-                        "block despite a matching digest")
-                mapping[row] = tid
-        relation = make_id_relation(base, mapping, limit)
+                        "block (or is listed twice) despite a matching "
+                        "digest")
+                members.remove(row)
+        relation = make_id_relation(
+            base, {key: recorded[key].ordering for key in blocks}, limit)
         stats.id_tuples += len(relation)
         self.materialized[(pred, group)] = relation
         if self._tracer is not None:

@@ -33,8 +33,10 @@ from ..errors import SchemaError
 Grouping = frozenset[int]
 """A set of 1-based attribute positions of the base relation."""
 
-IdFunction = Mapping[tuple[Value, ...], int]
-"""An assignment of tids to base tuples (bijective within each block)."""
+IdFunction = Mapping[tuple, Sequence[tuple[Value, ...]]]
+"""An ID-function: each block's grouping key mapped to the block's tuples
+in tid order (the tuple at index ``i`` gets tid ``i``).  A prefix-limited
+function lists only each block's first tids."""
 
 
 def group_key(row: tuple[Value, ...], group: Grouping) -> tuple[Value, ...]:
@@ -68,18 +70,24 @@ def sub_relations(base: Relation,
 def validate_id_function(base: Relation, group: Grouping,
                          id_function: IdFunction) -> None:
     """Check that ``id_function`` is a valid ID-function of ``base`` on
-    ``group``: defined on every tuple and bijective onto 0..k-1 within each
-    block.
+    ``group``: it orders exactly the blocks of ``base``, each listing
+    every tuple of its block once (a bijection onto 0..k-1).
 
     Raises:
-        SchemaError: when the function is not a block-wise bijection.
+        SchemaError: on a missing or extra block, or an ordering that
+            repeats, omits or misplaces a tuple.
     """
-    for key, rows in sub_relations(base, group).items():
-        tids = sorted(id_function[row] for row in rows)
-        if tids != list(range(len(rows))):
+    blocks = sub_relations(base, group)
+    if set(id_function) != set(blocks):
+        raise SchemaError(
+            f"ID-function orders blocks {sorted(id_function, key=repr)} "
+            f"but the relation has blocks {sorted(blocks, key=repr)}")
+    for key, rows in blocks.items():
+        ordering = id_function[key]
+        if len(ordering) != len(rows) or set(ordering) != set(rows):
             raise SchemaError(
-                f"tids {tids} of block {key} are not a bijection onto "
-                f"0..{len(rows) - 1}")
+                f"ordering {list(ordering)} of block {key} is not a "
+                f"bijection onto 0..{len(rows) - 1}")
 
 
 def canonical_id_function(base: Relation, group: Grouping) -> dict:
@@ -88,23 +96,17 @@ def canonical_id_function(base: Relation, group: Grouping) -> dict:
     Used as the default assignment so repeated evaluations of the same
     program on the same database agree.
     """
-    mapping: dict[tuple, int] = {}
-    for rows in sub_relations(base, group).values():
-        for tid, row in enumerate(rows):
-            mapping[row] = tid
-    return mapping
+    return {key: tuple(rows)
+            for key, rows in sub_relations(base, group).items()}
 
 
 def random_id_function(base: Relation, group: Grouping,
                        rng: random.Random) -> dict:
     """A uniformly random ID-function (independent shuffle per block)."""
-    mapping: dict[tuple, int] = {}
-    for rows in sub_relations(base, group).values():
-        shuffled = list(rows)
-        rng.shuffle(shuffled)
-        for tid, row in enumerate(shuffled):
-            mapping[row] = tid
-    return mapping
+    blocks = sub_relations(base, group)
+    for rows in blocks.values():
+        rng.shuffle(rows)
+    return {key: tuple(rows) for key, rows in blocks.items()}
 
 
 def count_id_functions(base: Relation, group: Grouping,
@@ -127,49 +129,47 @@ def enumerate_id_functions(base: Relation, group: Grouping,
                            limit: Optional[int] = None) -> Iterator[dict]:
     """Yield every ID-function of ``base`` on ``group``.
 
-    With ``limit`` k, yields every *distinct k-prefix*: functions are partial
-    (defined only on tuples receiving tids below k in their block), which is
-    exactly what a tid-limited materialization needs.  The number of yields
+    With ``limit`` k, yields every *distinct k-prefix*: each block's
+    ordering lists only the tuples receiving tids below k, which is exactly
+    what a tid-limited materialization needs.  The number of yields
     matches :func:`count_id_functions`.
     """
-    blocks = list(sub_relations(base, group).values())
-    if not blocks:
-        yield {}
-        return
-    per_block: list[list[tuple[tuple, ...]]] = []
-    for rows in blocks:
-        take = len(rows) if limit is None else min(len(rows), limit)
-        per_block.append(list(permutations(rows, take)))
+    blocks = sub_relations(base, group)
+    per_block = [
+        list(permutations(rows, len(rows) if limit is None
+                          else min(len(rows), limit)))
+        for rows in blocks.values()]
     for combo in product(*per_block):
-        mapping: dict[tuple, int] = {}
-        for ordering in combo:
-            for tid, row in enumerate(ordering):
-                mapping[row] = tid
-        yield mapping
+        yield dict(zip(blocks, combo))
 
 
 def make_id_relation(base: Relation, id_function: IdFunction,
                      limit: Optional[int] = None) -> Relation:
-    """Build the ID-relation: every base tuple extended with its tid.
+    """Build the ID-relation: every ordered tuple extended with its tid.
 
     Args:
-        base: The base relation.
-        id_function: Tid assignment (may be partial when prefix-limited).
-        limit: When given, keep only tuples with tid < limit (the Section 4
-            group-limit optimization; sound when every use of the
-            ID-predicate constrains the tid below ``limit``).
+        base: The base relation the orderings are drawn from.
+        id_function: Per-block orderings (prefixes when prefix-limited).
+        limit: When given, keep only tuples with tid < limit (the
+            Section 4 group-limit optimization; sound when every use of
+            the ID-predicate constrains the tid below ``limit``).
+
+    Raises:
+        SchemaError: when, without a limit, the orderings leave a base
+            tuple without a tid.
     """
     result = Relation(base.arity + 1)
-    for row in base:
-        tid = id_function.get(row)
-        if tid is None:
-            if limit is None:
+    for ordering in id_function.values():
+        for tid, row in enumerate(ordering[:limit]):
+            result.add(row + (tid,))
+    if limit is None:
+        ordered = {row for ordering in id_function.values()
+                   for row in ordering}
+        for row in base:
+            if row not in ordered:
                 raise SchemaError(
-                    f"ID-function undefined on {row!r} without a tid limit")
-            continue
-        if limit is not None and tid >= limit:
-            continue
-        result.add(row + (tid,))
+                    f"ID-function undefined on {row!r} without a tid "
+                    "limit")
     return result
 
 
@@ -183,44 +183,3 @@ def id_relations_of(base: Relation, group: Grouping,
     """
     for id_function in enumerate_id_functions(base, group, limit):
         yield make_id_relation(base, id_function, limit)
-
-
-def id_function_orderings(base: Relation, group: Grouping,
-                          id_function: IdFunction,
-                          limit: Optional[int] = None,
-                          ) -> dict[tuple, tuple[tuple, ...]]:
-    """Invert an ID-function into per-block tid orderings.
-
-    The inverse of :func:`ordering_to_id_function`: returns a mapping from
-    each block's grouping key to its tuples in tid order.  With ``limit``,
-    only the observable prefix (tids below the limit) is kept — exactly
-    the portion a tid-limited materialization realizes, and exactly what a
-    choice log needs to record for faithful replay.  Partial ID-functions
-    (enumeration prefixes) are handled: undefined tuples are simply absent
-    from the ordering.
-    """
-    out: dict[tuple, tuple[tuple, ...]] = {}
-    for key, rows in sub_relations(base, group).items():
-        assigned = sorted(
-            (tid, row) for row in rows
-            if (tid := id_function.get(row)) is not None)
-        if limit is not None:
-            assigned = [(tid, row) for tid, row in assigned if tid < limit]
-        out[key] = tuple(row for _, row in assigned)
-    return out
-
-
-def ordering_to_id_function(orderings: Sequence[Sequence[tuple]],
-                            ) -> dict:
-    """Build an ID-function from explicit per-block tuple orderings.
-
-    Convenience for tests and oracles: each sequence lists one block's
-    tuples in tid order.
-    """
-    mapping: dict[tuple, int] = {}
-    for ordering in orderings:
-        for tid, row in enumerate(ordering):
-            if row in mapping:
-                raise SchemaError(f"tuple {row!r} listed twice")
-            mapping[row] = tid
-    return mapping

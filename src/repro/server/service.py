@@ -267,9 +267,6 @@ class IdlogService:
             "idlog_server_requests_total",
             "Requests served, by type and outcome ('ok' or an error type)",
             labels=("type", "status"))
-        self.m_request_seconds = r.histogram(
-            "idlog_server_request_seconds",
-            "Wall time per served request", buckets=_REQUEST_BUCKETS)
         self.m_sessions = r.gauge(
             "idlog_server_sessions", "Sessions currently open")
         self.m_sessions_total = r.counter(
@@ -386,7 +383,6 @@ class IdlogService:
         had filled in by now.
         """
         self.m_requests.labels(type=rtype, status=status).inc()
-        self.m_request_seconds.observe(seconds)
         self.m_request_duration.labels(type=rtype).observe(seconds)
         if context is None:
             return
@@ -402,13 +398,7 @@ class IdlogService:
                      **summary}
             if context.profile is not None:
                 entry["profile"] = context.profile
-            with self._slow_lock:
-                self._slow.append(entry)
-                path = self.config.slow_log_path
-                if path:
-                    with open(path, "a", encoding="utf-8") as handle:
-                        handle.write(json.dumps(entry, sort_keys=True)
-                                     + "\n")
+            self._append_slow(entry)
             self.log.warning("slow_request", **summary)
         elif self.log.enabled("debug"):
             self.log.debug("request", **summary)
@@ -418,16 +408,19 @@ class IdlogService:
         # rare and worth a post-mortem trail.
         plan_quality = context.plan_quality
         if plan_quality and plan_quality.get("plan_drifts"):
-            entry = {"event": "plan_drift", "schema": SCHEMA_VERSION,
-                     **summary}
-            with self._slow_lock:
-                self._slow.append(entry)
-                path = self.config.slow_log_path
-                if path:
-                    with open(path, "a", encoding="utf-8") as handle:
-                        handle.write(json.dumps(entry, sort_keys=True)
-                                     + "\n")
+            self._append_slow({"event": "plan_drift",
+                               "schema": SCHEMA_VERSION, **summary})
             self.log.warning("plan_drift", **summary)
+
+    def _append_slow(self, entry: dict) -> None:
+        """Add one entry to the slow-query ring and, when configured,
+        append it to ``slow_log_path``."""
+        with self._slow_lock:
+            self._slow.append(entry)
+            path = self.config.slow_log_path
+            if path:
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
 
     # -- sessions -----------------------------------------------------------
 

@@ -87,10 +87,11 @@ class StableEngine:
             (pred, row) for pred in self._envelope.head_predicates
             for row in model.relation(pred))
 
-    def ground_clauses(self, db: Database) -> list[GroundClause]:
-        """Ground instances whose positive body lies inside the envelope."""
+    def ground_clauses(self, upper: State) -> list[GroundClause]:
+        """Ground instances whose positive body lies inside ``upper``,
+        the :meth:`upper_bound` state the caller already computed."""
         program = self.program
-        store = RelationStore.of_facts(self.upper_bound(db), {
+        store = RelationStore.of_facts(upper, {
             pred: program.arity(pred) for pred in program.predicates})
         executor = BatchExecutor()
         decode = GLOBAL_POOL.decode_row
@@ -138,12 +139,13 @@ class StableEngine:
                 exceeds ``max_candidates``.
         """
         base = self._initial_facts(db)
-        derivable = sorted(self.upper_bound(db) - base)
+        upper = self.upper_bound(db)
+        derivable = sorted(upper - base)
         if 2 ** len(derivable) > max_candidates:
             raise EvaluationError(
                 f"{len(derivable)} derivable atoms: candidate space too "
                 "large for exhaustive stable-model search")
-        ground = self.ground_clauses(db)
+        ground = self.ground_clauses(upper)
         models: set[State] = set()
         for k in range(len(derivable) + 1):
             for subset in combinations(derivable, k):

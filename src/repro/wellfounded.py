@@ -85,8 +85,8 @@ class WellFoundedEngine:
     def model(self, db: Database) -> WellFoundedModel:
         """The well-founded model of the program on ``db``."""
         base = self._stable._initial_facts(db)
-        ground = self._stable.ground_clauses(db)
         universe = self._stable.upper_bound(db)
+        ground = self._stable.ground_clauses(universe)
 
         def gamma(candidate: State) -> State:
             return StableEngine._least_model_of_reduct(

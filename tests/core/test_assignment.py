@@ -44,7 +44,7 @@ class TestRandom:
 
 class TestOracle:
     def test_lookup(self):
-        fn = {("a", "c"): 1, ("a", "d"): 0, ("b", "c"): 0}
+        fn = {("a",): [("a", "d"), ("a", "c")], ("b",): [("b", "c")]}
         oracle = OracleAssignment({("r", G1): fn})
         assert oracle.id_function("r", G1, R) is fn
 

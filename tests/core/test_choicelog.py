@@ -2,20 +2,23 @@
 
 Covers the tentpole observability surface: recording choices during
 evaluation, byte-exact replay, drift diagnosis, JSONL round-trips
-(including loading a ``--trace`` file as a log), oracle reconstruction,
-and the run-divergence differ.
+(including loading a ``--trace`` file as a log), and the run-divergence
+differ.
 """
 
 import io
+import random
 
 import pytest
 
-from repro.core import IdlogEngine, OracleAssignment
+from repro.core import IdlogEngine, ReplayIdProvider
 from repro.core.choicelog import (ChoiceLog, ChoiceRecord, block_digest,
                                   choice_records, diverge,
                                   format_divergence)
-from repro.core.idrelations import canonical_id_function
+from repro.core.idrelations import (canonical_id_function, make_id_relation,
+                                    random_id_function)
 from repro.datalog.database import Database, Relation
+from repro.datalog.seminaive import EvalStats
 from repro.datalog.trace import (EV_ID_CHOICE, JsonTracer, SCHEMA_VERSION,
                                  use_tracer)
 from repro.errors import ReplayError, ReproError
@@ -57,8 +60,7 @@ class TestChoiceRecords:
     def test_one_record_per_block_in_sorted_key_order(self):
         base = Relation(2, tuples=[("a", "c"), ("a", "d"), ("b", "c")])
         records = choice_records(
-            "r", frozenset({1}), base,
-            canonical_id_function(base, frozenset({1})))
+            "r", frozenset({1}), canonical_id_function(base, frozenset({1})))
         assert [rec.block for rec in records] == [("a",), ("b",)]
         assert [rec.block_size for rec in records] == [2, 1]
         assert records[0].ordering == (("a", "c"), ("a", "d"))
@@ -67,7 +69,7 @@ class TestChoiceRecords:
         base = Relation(2, tuples=[("a", "c"), ("a", "d")])
         group = frozenset({1})
         [rec] = choice_records(
-            "r", group, base, canonical_id_function(base, group), limit=1)
+            "r", group, canonical_id_function(base, group), limit=1)
         assert rec.ordering == (("a", "c"),)
         assert rec.block_size == 2  # full block, for drift detection
         assert rec.tid_limit == 1
@@ -148,6 +150,29 @@ class TestRecordAndReplay:
         assert engine.replay(db, restored).tuples("select_emp") \
             == frozenset()
 
+    def test_tid_limited_replay_round_trip(self):
+        base, group = employees().relation("emp"), frozenset({2})
+        drawn = random_id_function(base, group, random.Random(5))
+        log = ChoiceLog()
+        log.record_assignment("emp", group, drawn, limit=2)
+        restored = ChoiceLog.from_jsonable(log.to_jsonable())
+        replayed = ReplayIdProvider(restored).materialize(
+            "emp", group, base, EvalStats())
+        assert replayed.frozen() == \
+            make_id_relation(base, drawn, limit=2).frozen()
+        assert len(replayed) == 4  # two tids in each of two blocks
+
+    @pytest.mark.parametrize("extra", [["zed", "toys"], None])
+    def test_replay_rejects_corrupt_ordering(self, extra):
+        """An ordering listing a tuple outside its block, or one tuple
+        twice, is refused even though the block digest matches."""
+        engine, db, log, _ = record_run()
+        data = log.to_jsonable()
+        ordering = data["choices"][0]["ordering"]
+        ordering.append(extra or ordering[0])
+        with pytest.raises(ReplayError, match="choice log is corrupt"):
+            engine.replay(db, ChoiceLog.from_jsonable(data))
+
     def test_records_for_distinguishes_never_recorded(self):
         log = ChoiceLog()
         assert log.records_for("emp", frozenset({2})) is None
@@ -174,6 +199,11 @@ class TestSerialization:
         choice_lines = [l for l in lines if l["event"] == EV_ID_CHOICE]
         assert len(choice_lines) == len(log)
         assert [l["seq"] for l in choice_lines] == list(range(len(log)))
+        # Key order is part of the file format.
+        assert list(lines[0]) == ["event", "schema", "meta", "groupings"]
+        assert list(choice_lines[0]) == [
+            "event", "seq", "schema", "pred", "group", "block",
+            "block_digest", "block_size", "ordering", "tid_limit"]
 
     def test_trace_file_loads_as_choice_log(self):
         """A run --trace JSONL doubles as a choice log."""
@@ -206,14 +236,6 @@ class TestSerialization:
             ChoiceLog.load(io.StringIO("not json\n"))
         with pytest.raises(ReproError, match="not a choice log"):
             ChoiceLog.load(io.StringIO('{"event": "round"}\n'))
-
-
-class TestOracleFromLog:
-    def test_oracle_reproduces_the_recorded_model(self):
-        engine, db, log, result = record_run()
-        oracle = OracleAssignment.from_choice_log(log)
-        again = engine.run(db, assignment=oracle)
-        assert again.tuples("select_emp") == result.tuples("select_emp")
 
 
 class TestDiverge:

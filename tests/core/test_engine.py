@@ -6,7 +6,6 @@ import pytest
 from repro.core.assignment import (CanonicalAssignment, OracleAssignment,
                                    RandomAssignment)
 from repro.core.engine import IdlogEngine
-from repro.core.idrelations import ordering_to_id_function
 from repro.core.program import IdlogProgram, compute_tid_limits
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
@@ -84,9 +83,8 @@ class TestSingleModel:
             assert ("dee",) in sample and ("eli",) in sample
 
     def test_oracle_assignment_pins_model(self):
-        fn = ordering_to_id_function([
-            [("cal", "toys"), ("ann", "toys"), ("bob", "toys")],
-            [("eli", "it"), ("dee", "it")]])
+        fn = {("toys",): [("cal", "toys"), ("ann", "toys"), ("bob", "toys")],
+              ("it",): [("eli", "it"), ("dee", "it")]}
         oracle = OracleAssignment({("emp", frozenset({2})): fn})
         engine = IdlogEngine(SELECT_ONE)
         assert engine.query(EMP, "select_emp", oracle) == {

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.choicelog import block_digest, choice_records
 from repro.core.idrelations import (canonical_id_function,
                                     count_id_functions,
                                     enumerate_id_functions, group_key,
                                     id_relations_of, make_id_relation,
-                                    ordering_to_id_function,
                                     random_id_function, sub_relations,
                                     validate_id_function)
 from repro.datalog.database import Relation
@@ -83,24 +83,49 @@ class TestIdFunctions:
         assert len(seen) == 2  # Example 1: exactly two ID-relations on {1}
 
     def test_validate_rejects_non_bijection(self):
-        fn = {("a", "c"): 0, ("a", "d"): 0, ("b", "c"): 0}
-        with pytest.raises(SchemaError):
+        fn = {("a",): [("a", "c")], ("b",): [("b", "c")]}
+        with pytest.raises(SchemaError, match="not a bijection"):
             validate_id_function(R_EXAMPLE1, frozenset({1}), fn)
 
-    def test_ordering_to_id_function(self):
-        fn = ordering_to_id_function([[("a", "c"), ("a", "d")], [("b", "c")]])
+    def test_explicit_orderings_valid(self):
+        fn = {("a",): [("a", "c"), ("a", "d")], ("b",): [("b", "c")]}
         validate_id_function(R_EXAMPLE1, frozenset({1}), fn)
-        assert fn[("a", "c")] == 0
+        assert ("a", "c", 0) in make_id_relation(R_EXAMPLE1, fn)
 
-    def test_ordering_duplicate_rejected(self):
+    @pytest.mark.parametrize("fn", [
+        {("a",): [("a", "c"), ("a", "d")]},
+        {("a",): [("a", "c"), ("a", "d")], ("b",): [("b", "c")],
+         ("z",): [("z", "c")]},
+        {("a",): [("a", "c"), ("a", "d"), ("a", "c")], ("b",): [("b", "c")]},
+        {("a",): [("a", "c"), ("b", "c")], ("b",): [("b", "c")]},
+    ], ids=["missing_block", "extra_block", "duplicate_tuple",
+            "foreign_tuple"])
+    def test_validate_rejects_malformed(self, fn):
         with pytest.raises(SchemaError):
-            ordering_to_id_function([[("a", "c")], [("a", "c")]])
+            validate_id_function(R_EXAMPLE1, frozenset({1}), fn)
 
     @given(relations, groupings)
     @settings(max_examples=50)
     def test_random_always_valid(self, relation, group):
         fn = random_id_function(relation, group, random.Random(3))
         validate_id_function(relation, group, fn)
+
+    @given(relations, groupings,
+           st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+           st.integers(min_value=0, max_value=99))
+    @settings(max_examples=60)
+    def test_choice_records_match_partitioned_blocks(self, relation, group,
+                                                     limit, seed):
+        """Records built from a draw digest and size each block as a
+        re-partition of the base would, and keep the drawn prefix."""
+        fn = random_id_function(relation, group, random.Random(seed))
+        blocks = sub_relations(relation, group)
+        records = choice_records("r", group, fn, limit)
+        assert [rec.block for rec in records] == sorted(blocks, key=repr)
+        for rec in records:
+            assert rec.block_digest == block_digest(blocks[rec.block])
+            assert rec.block_size == len(blocks[rec.block])
+            assert rec.ordering == fn[rec.block][:limit]
 
 
 class TestCounting:
@@ -162,8 +187,8 @@ class TestEnumeration:
     def test_limited_functions_are_prefixes(self):
         r = Relation(1, tuples=[("a",), ("b",), ("c",)])
         for fn in enumerate_id_functions(r, frozenset(), limit=2):
-            assert sorted(fn.values()) == [0, 1]
-            assert len(fn) == 2
+            assert list(fn) == [()]
+            assert len(fn[()]) == 2
 
 
 class TestMakeIdRelation:
@@ -189,7 +214,9 @@ class TestMakeIdRelation:
     def test_partial_function_without_limit_rejected(self):
         r = Relation(1, tuples=[("a",), ("b",)])
         with pytest.raises(SchemaError):
-            make_id_relation(r, {("a",): 0})
+            make_id_relation(r, {(): [("a",)]})
+        with pytest.raises(SchemaError, match="undefined on"):
+            make_id_relation(r, {(): [("a",), ("z",)]})
 
     @given(relations, groupings)
     @settings(max_examples=25)
@@ -221,7 +248,7 @@ class TestEdgeCases:
         assert count_id_functions(R_EXAMPLE1, group) == 1
         fns = list(enumerate_id_functions(R_EXAMPLE1, group))
         assert len(fns) == 1
-        assert all(tid == 0 for tid in fns[0].values())
+        assert all(len(ordering) == 1 for ordering in fns[0].values())
         for seed in range(5):
             assert random_id_function(
                 R_EXAMPLE1, group, random.Random(seed)) == fns[0]

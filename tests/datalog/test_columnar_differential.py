@@ -85,8 +85,8 @@ class TestIdlogPrograms:
             .one(db, seed=pseed, record=log)
         for pred, group in sample.id_relations:
             id_function = {
-                row: tid for rec in log.records_for(pred, group).values()
-                for tid, row in enumerate(rec.ordering)}
+                block: rec.ordering
+                for block, rec in log.records_for(pred, group).items()}
             validate_id_function(sample.relation(pred), group, id_function)
         replayed, _ = oracle_model(program, db, log)
         for pred in sorted(program.head_predicates):

@@ -406,7 +406,7 @@ class TestHttp:
         assert "# TYPE idlog_server_requests_total counter" in body
         assert 'idlog_server_requests_total{type="run",status="ok"}' \
             in body
-        assert "idlog_server_request_seconds_bucket" in body
+        assert "idlog_server_request_duration_bucket" in body
         # engine metrics share the registry
         assert "idlog_evaluation_seconds" in body
 

@@ -6,6 +6,7 @@ import pytest
 from repro.datalog.database import Database
 from repro.errors import EvaluationError
 from repro.stable import StableEngine
+from repro.wellfounded import WellFoundedEngine
 
 CHOICE = """
     man(X) :- person(X), not woman(X).
@@ -85,6 +86,23 @@ class TestStableModels:
         bound = engine.upper_bound(db)
         for model in engine.stable_models(db):
             assert model <= bound
+
+
+@pytest.mark.parametrize("call", [
+    lambda db: StableEngine(CHOICE).stable_models(db),
+    lambda db: WellFoundedEngine(CHOICE).model(db),
+], ids=["stable_models", "well_founded_model"])
+def test_envelope_evaluated_once_per_call(monkeypatch, call):
+    import repro.stable.models as models
+    calls, real = [], models.evaluate
+
+    def counted(program, *args, **kwargs):
+        calls.append(program.name)
+        return real(program, *args, **kwargs)
+
+    monkeypatch.setattr(models, "evaluate", counted)
+    call(Database.from_facts({"person": [("a",), ("b",)]}))
+    assert calls == ["envelope"]
 
 
 class TestStableVsIdlog:

@@ -26,15 +26,12 @@ candidate:
   start compiling pipelines it previously could not) is accepted
   explicitly with ``--accept KERNEL:COUNTER``, which downgrades that
   counter's drift to a note.
-* **wall time** — ``candidate <= baseline * tolerance + slack``.
-  Tolerance defaults to 2.0 on the theory that same-machine noise stays
-  well under that; CI (cross-machine) passes a larger ``--wall-tolerance``.
 * **coverage** — a kernel or mode present in the baseline but missing
   from the candidate is a regression; extras in the candidate are noted.
 * **memory** — when both reports carry a ``memory`` section for the same
   scenario, the candidate's resident ``bytes_per_tuple`` may exceed the
-  baseline's by at most ``--memory-tolerance`` (default 10%).  Unlike
-  wall time this is machine-independent, so the ceiling is tight.
+  baseline's by at most ``--memory-tolerance`` (default 10%).  This is
+  machine-independent, so the ceiling is tight.
 * **plan quality** — for every kernel/mode record where both sides
   carry a ``plan_quality`` block (the profiled ``batch/greedy`` pass),
   the candidate's median q-error may exceed the baseline's by at most
@@ -42,6 +39,10 @@ candidate:
   planner's cardinality estimates against the executor's actuals, so a
   worsened median means the cost model drifted from reality — a planner
   or statistics regression even when wall time hides it.
+
+Wall time is not compared: every quick kernel runs in a few
+milliseconds, well inside any cross-machine tolerance, so the timing gate
+is the end-to-end benchmark (``benchmarks/e2e``).
 
 Comparing a ``--quick`` file against a full-size one is refused (exit 2):
 the counters measure different inputs.  Exit 0 = clean, 1 = regression.
@@ -72,7 +73,6 @@ def load(path: str) -> dict:
 
 
 def compare_record(kernel: str, mode: str, base: dict, cand: dict,
-                   wall_tolerance: float, wall_slack: float,
                    strict_digests: bool,
                    accepted: frozenset = frozenset(),
                    notes: list | None = None) -> list[str]:
@@ -100,14 +100,6 @@ def compare_record(kernel: str, mode: str, base: dict, cand: dict,
                 problems.append(
                     f"{where}: {key} {base[key]} -> {cand.get(key)} "
                     f"(must be exactly equal)")
-    base_wall, cand_wall = base.get("wall_s"), cand.get("wall_s")
-    if base_wall is not None and cand_wall is not None:
-        limit = base_wall * wall_tolerance + wall_slack
-        if cand_wall > limit:
-            problems.append(
-                f"{where}: wall_s {base_wall} -> {cand_wall} "
-                f"(limit {limit:.6f} = {wall_tolerance}x + "
-                f"{wall_slack}s slack)")
     return problems
 
 
@@ -191,7 +183,6 @@ def compare_plan_quality(baseline: dict, candidate: dict,
 
 
 def compare(baseline: dict, candidate: dict,
-            wall_tolerance: float = 2.0, wall_slack: float = 0.05,
             strict_digests: bool = False,
             memory_tolerance: float = 0.10,
             q_error_tolerance: float = 2.0,
@@ -219,8 +210,7 @@ def compare(baseline: dict, candidate: dict,
                 continue
             problems.extend(compare_record(
                 kernel, mode, base_modes[mode], cand_modes[mode],
-                wall_tolerance, wall_slack, strict_digests,
-                accepted=accepted, notes=notes))
+                strict_digests, accepted=accepted, notes=notes))
         for mode in sorted(set(cand_modes) - set(base_modes)):
             notes.append(f"{kernel}: new mode {mode} in candidate")
         if kernel in NONDETERMINISTIC and not strict_digests \
@@ -240,14 +230,6 @@ def main(argv=None, out=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("baseline", help="baseline BENCH_*.json")
     parser.add_argument("candidate", help="candidate BENCH_*.json")
-    parser.add_argument("--wall-tolerance", type=float, default=2.0,
-                        help="candidate wall time may be at most this "
-                             "multiple of the baseline (default 2.0; use "
-                             "a larger value across machines)")
-    parser.add_argument("--wall-slack", type=float, default=0.05,
-                        help="absolute seconds added to every wall limit, "
-                             "absorbing timer noise on sub-millisecond "
-                             "kernels (default 0.05)")
     parser.add_argument("--strict-digests", action="store_true",
                         help="enforce answer_digest equality even for the "
                              "NONDETERMINISTIC kernels")
@@ -281,8 +263,6 @@ def main(argv=None, out=None) -> int:
         return 2
 
     problems, notes = compare(baseline, candidate,
-                              wall_tolerance=args.wall_tolerance,
-                              wall_slack=args.wall_slack,
                               strict_digests=args.strict_digests,
                               memory_tolerance=args.memory_tolerance,
                               q_error_tolerance=args.q_error_tolerance,
@@ -297,8 +277,7 @@ def main(argv=None, out=None) -> int:
             print(f"  {problem}", file=out)
         return 1
     print(f"ok: {args.candidate} matches {args.baseline} "
-          f"({kernels} kernel(s), wall tolerance "
-          f"{args.wall_tolerance}x + {args.wall_slack}s)", file=out)
+          f"({kernels} kernel(s))", file=out)
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Protocol
 from ..datalog.database import Relation
 from ..errors import EvaluationError
 from .idrelations import (Grouping, IdFunction, canonical_id_function,
-                          random_id_function)
+                          random_id_function, validate_id_function)
 
 
 class AssignmentStrategy(Protocol):
@@ -64,6 +64,7 @@ class OracleAssignment:
     Args:
         table: Maps (predicate, grouping) to an ID-function, i.e. to the
             per-block tuple orderings (block key -> tuples in tid order).
+            Each is checked against the relation it numbers when used.
         fallback: Strategy consulted for pairs missing from the table
             (default: none — missing pairs are an error, which keeps
             enumeration honest).
@@ -78,6 +79,7 @@ class OracleAssignment:
                     base: Relation) -> IdFunction:
         chosen = self._table.get((pred, group))
         if chosen is not None:
+            validate_id_function(base, group, chosen)
             return chosen
         if self._fallback is not None:
             return self._fallback.id_function(pred, group, base)

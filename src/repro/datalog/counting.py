@@ -25,7 +25,6 @@ from .ast import Atom, Clause, Program
 from .database import Database, Relation
 from .executor import BatchExecutor
 from .parser import parse_program
-from .pool import GLOBAL_POOL
 from .safety import check_program, order_body
 from .seminaive import EvalStats, RelationStore
 from .stratify import stratify
@@ -153,13 +152,11 @@ class CountingEngine:
         order = first + order_body(Clause(clause.head, rest),
                                    initially_bound=bound)
         stats = EvalStats()
-        layout, rows = self._executor.execute_bindings(
+        bindings = self._executor.execute_bindings(
             order, store, stats,
             overrides=dict.fromkeys(range(len(first)), pin))
         self.stats.probes += stats.probes
-        decode = GLOBAL_POOL.decode_row
-        return [clause.head.ground(dict(zip(layout, decode(row))))
-                for row in rows]
+        return [clause.head.ground(binding) for binding in bindings]
 
     # -- writes -----------------------------------------------------------------
 

@@ -53,6 +53,13 @@ _EMPTY_SLOT = -1
 _TOMBSTONE = -2
 
 
+def _known_codes(values) -> Optional[tuple[int, ...]]:
+    """The codes of ``values``, or None when the pool has never seen one
+    of them (looked up, never interned: such a row is stored nowhere)."""
+    coded = tuple(map(_POOL.try_encode, values))
+    return None if None in coded else coded
+
+
 class CodedDelta:
     """A semi-naive delta as a bare list of coded rows.
 
@@ -196,8 +203,14 @@ class Relation:
             perturb >>= 5
             slot = (slot * 5 + perturb + 1) & mask
 
-    def _insert_coded(self, coded: tuple[int, ...]) -> bool:
-        """Insert a trusted coded row; returns True when it was new."""
+    def add_coded(self, coded: tuple[int, ...]) -> bool:
+        """Insert a trusted coded row; returns True when it was new.
+
+        No arity or sort check (rows derived in code space are already
+        well-formed); a relation without a schema takes the row's sorts.
+        """
+        if self._schema is None:
+            self._schema = tuple(map(_POOL.sort_of_code, coded))
         if self._table is None:
             self._rebuild_table(_table_cap(self._size))
         r, slot = self._find(coded)
@@ -251,7 +264,7 @@ class Relation:
             SchemaError: on arity or sort mismatch.
         """
         self._check_row(row)
-        return self._insert_coded(tuple(map(_POOL.encode, row)))
+        return self.add_coded(tuple(map(_POOL.encode, row)))
 
     #: A bulk ``update`` at least this large (and bigger than half the
     #: current contents) drops existing indexes instead of maintaining them
@@ -273,21 +286,19 @@ class Relation:
         return sum(1 for row in rows if self.add(row))
 
     def discard(self, row: tuple[Value, ...]) -> bool:
-        """Remove a tuple if present; returns True when it was removed.
+        """Remove a tuple if present; returns True when it was removed."""
+        if len(row) != self.arity:
+            return False
+        coded = _known_codes(row)
+        return coded is not None and self.discard_coded(coded)
+
+    def discard_coded(self, coded: tuple[int, ...]) -> bool:
+        """Remove a coded row if present; returns True when it was removed.
 
         Swap-remove: the last row moves into the hole so the column arrays
         stay dense; the membership table and any hash indexes are patched
         in place.
         """
-        if len(row) != self.arity:
-            return False
-        coded = []
-        for value in row:
-            code = _POOL.try_encode(value)
-            if code is None:
-                return False
-            coded.append(code)
-        coded = tuple(coded)
         self._ensure_table()
         r, slot = self._find(coded)
         if r < 0:
@@ -489,14 +500,11 @@ class Relation:
         if not bound:
             yield from self
             return
-        key = []
-        for i in bound:
-            code = _POOL.try_encode(pattern[i])
-            if code is None:
-                return
-            key.append(code)
+        key = _known_codes(pattern[i] for i in bound)
+        if key is None:
+            return
         index = self.index_on_coded(bound)
-        bucket = index.get(key[0] if len(bound) == 1 else tuple(key))
+        bucket = index.get(key[0] if len(bound) == 1 else key)
         if not bucket:
             return
         columns = self._columns
@@ -564,10 +572,10 @@ class Relation:
         if len(positions) == 1:
             col = columns[positions[0]]
             for code in set(col):
-                result._insert_coded((code,))
+                result.add_coded((code,))
         else:
             pcols = [columns[p] for p in positions]
-            insert = result._insert_coded
+            insert = result.add_coded
             for r in range(self._size):
                 insert(tuple(c[r] for c in pcols))
         return result
@@ -609,14 +617,8 @@ class Relation:
     def __contains__(self, row: tuple[Value, ...]) -> bool:
         if len(row) != self.arity:
             return False
-        coded = []
-        for value in row:
-            code = _POOL.try_encode(value)
-            if code is None:
-                return False
-            coded.append(code)
-        self._ensure_table()
-        return self._find(tuple(coded))[0] >= 0
+        coded = _known_codes(row)
+        return coded is not None and self.contains_coded(coded)
 
     def __iter__(self) -> Iterator[tuple[Value, ...]]:
         if not self.arity:

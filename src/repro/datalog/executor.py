@@ -18,8 +18,8 @@ separate concerns) compiles into a pipeline of set-oriented operators over
   solver calls per row);
 * for a clause, the head becomes a single **projection** producing the
   derived tuples (:meth:`BatchExecutor.execute_coded`); without one,
-  :meth:`BatchExecutor.execute_bindings` hands back the binding rows
-  themselves, optionally seeded with bound variables.
+  :meth:`BatchExecutor.execute_bindings` hands back the bindings
+  themselves, decoded, optionally seeded with bound variables.
 
 Since the columnar-storage rewrite the pipelines run over **constant
 codes** end-to-end (see :mod:`repro.datalog.pool`): batch rows are tuples
@@ -29,8 +29,9 @@ int-keyed indexes and extend rows straight out of the ``array('q')``
 columns, and anti-joins test coded membership — no Python-object hashing
 or equality anywhere on the hot path.  Only builtins decode: solvers
 compute over real values (arithmetic, comparisons), so their inputs are
-decoded per row and their outputs re-encoded.  Callers decode at their own
-boundary.
+decoded per row and their outputs re-encoded.  Head rows leave
+:meth:`BatchExecutor.execute_coded` coded; bindings leave
+:meth:`BatchExecutor.execute_bindings` decoded.
 
 Semi-naive deltas need no special machinery: a relation override at a
 position is just a different build side for that join.
@@ -727,19 +728,19 @@ class BatchExecutor:
                          store: "RelationStore", stats: "EvalStats",
                          seed: Optional[dict[Var, Value]] = None,
                          overrides: Optional[dict[int, Relation]] = None,
-                         ) -> tuple[tuple[Var, ...], list[tuple[int, ...]]]:
-        """Every binding satisfying ``order``, as ``(layout, coded rows)``.
+                         ) -> list[dict[Var, Value]]:
+        """Every binding satisfying ``order``, as ``{Var: value}`` dicts.
 
         The entry point for callers that need the body bindings rather
         than head tuples (maintenance, provenance, model checking and the
-        one-firing-at-a-time interpreters).  ``layout`` names the variable
-        in each slot of the rows, ``seed``'s variables first.  ``seed``
-        binds variables before the first literal runs (its values are
-        looked up in the pool, never interned: a value the pool has never
-        seen matches nothing, so there are no bindings); ``overrides``
-        maps positions in ``order`` to the relations those literals read
-        instead of their stored ones.  Bindings come in the reference
-        solver's enumeration order, with equal probes.
+        one-firing-at-a-time interpreters).  Each binding includes
+        ``seed``'s variables.  ``seed`` binds variables before the first
+        literal runs (its values are looked up in the pool, never
+        interned: a value the pool has never seen matches nothing, so
+        there are no bindings); ``overrides`` maps positions in ``order``
+        to the relations those literals read instead of their stored
+        ones.  Bindings come in the reference solver's enumeration order,
+        with equal probes.
         """
         bound = tuple(seed) if seed else ()
         key = (order, bound)
@@ -752,9 +753,12 @@ class BatchExecutor:
             stats.pipelines_reused += 1
         first = tuple(map(_POOL.try_encode, seed.values())) if seed else ()
         if None in first:
-            return pipeline.layout, []
-        return pipeline.layout, self._run(pipeline, store, stats, [first],
-                                          overrides)
+            return []
+        layout = pipeline.layout
+        decode = _POOL.decode_row
+        return [dict(zip(layout, decode(row)))
+                for row in self._run(pipeline, store, stats, [first],
+                                     overrides)]
 
     @staticmethod
     def _run(pipeline: _Pipeline, store: "RelationStore",

@@ -16,20 +16,25 @@ keeping one API with two measured paths (the A4 ablation quantifies the
 difference).
 
 Every firing — materialization, delta propagation, over-deletion and
-re-derivation — runs on the batch executor: delta rounds call
-:meth:`~repro.datalog.executor.BatchExecutor.execute_coded` with the delta
-override, and the re-derivation check asks for the bindings of a clause
-body seeded with the candidate's head unification.
+re-derivation — runs on the batch executor.  Insert propagation and
+over-deletion share one semi-naive delta loop that stays in code space:
+each round hands its coded rows to
+:meth:`~repro.datalog.executor.BatchExecutor.execute_coded` as the delta
+override, and rows enter and leave relations through
+:meth:`~repro.datalog.database.Relation.add_coded` /
+:meth:`~repro.datalog.database.Relation.discard_coded`.  Only
+re-derivation candidates are decoded: the check asks for the bindings of
+a clause body seeded with the candidate's head unification.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..errors import EvaluationError, SchemaError
-from .ast import Atom, Program
-from .database import Database, Relation
+from .ast import Program
+from .database import CodedDelta, Database
 from .executor import BatchExecutor
 from .parser import parse_program
 from .planner import ClausePlanner
@@ -87,6 +92,13 @@ class IncrementalEngine:
         #: Runs the maintenance firings (untraced: only the
         #: materialization passes emit span events).
         self._executor = BatchExecutor()
+        #: ``(clause, body position, predicate)`` of every positive
+        #: relation literal: where a delta of that predicate enters.
+        self._occurrences = [
+            (clause, i, literal.atom.pred)
+            for clause in program.clauses
+            for i, literal in enumerate(clause.body)
+            if literal.positive and not literal.atom.is_builtin]
 
     def _trace(self, **fields) -> None:
         tracer = resolve_tracer(self.tracer)
@@ -182,19 +194,7 @@ class IncrementalEngine:
                     "on the incremental (positive-program) path")
             if not self._base.add_fact(pred, row):
                 return 0
-            start = perf_counter()
-            before = {p: store.relation(p).frozen()
-                      for p in self.program.head_predicates}
-            self._materialize()
-            store = self._require_started()
-            added = 1
-            for p in self.program.head_predicates:
-                added += len(store.relation(p).frozen() - before[p])
-            self._trace(op="insert", path="fallback", pred=pred,
-                        reason="negation or ID-atoms force full "
-                               "recomputation", changed=added,
-                        wall_s=perf_counter() - start)
-            return added
+            return self._recompute("insert", pred)
 
         if not store.relation(pred).add(row):
             return 0
@@ -204,7 +204,7 @@ class IncrementalEngine:
             # shares the base relation object).
             self._base.add_fact(pred, row)
         self.stats.count_derived(pred)
-        added = 1 + self._propagate({pred: [row]})
+        added = 1 + self._propagate(pred, GLOBAL_POOL.encode_row(row))
         self._trace(op="insert", path="delta", pred=pred, changed=added,
                     wall_s=perf_counter() - start)
         return added
@@ -230,66 +230,48 @@ class IncrementalEngine:
             return 0
         if pred in self._base:
             self._base.relation(pred).discard(row)
-
         if not self.incremental:
-            start = perf_counter()
-            before = {p: store.relation(p).frozen()
-                      for p in self.program.head_predicates}
-            store.relation(pred).discard(row)
-            self._materialize()
-            store = self._require_started()
-            gone = 1
-            for p in self.program.head_predicates:
-                gone += len(before[p] - store.relation(p).frozen())
-            self._trace(op="delete", path="fallback", pred=pred,
-                        reason="negation or ID-atoms force full "
-                               "recomputation", changed=gone,
-                        wall_s=perf_counter() - start)
-            return gone
+            return self._recompute("delete", pred)
 
         # Phase 1 (over-delete): everything with a derivation through the
         # deleted tuple, computed semi-naive style against the ORIGINAL
         # relations (the standard DRed over-approximation).
         start = perf_counter()
         stats = EvalStats()
-        deleted: dict[str, set[tuple]] = {pred: {row}}
-        frontier: dict[str, Relation] = {
-            pred: Relation(store.relation(pred).arity, tuples=[row])}
-        while frontier:
-            previous, frontier = frontier, {}
-            for clause, position, body_pred in self._occurrences():
-                delta = previous.get(body_pred)
-                if delta is None or not len(delta):
-                    continue
-                head = clause.head.pred
-                for candidate in self._fire(clause, position, delta, stats):
-                    if candidate in deleted.get(head, ()):
-                        continue
-                    if candidate not in store.relation(head):
-                        continue
-                    deleted.setdefault(head, set()).add(candidate)
-                    bucket = frontier.get(head)
-                    if bucket is None:
-                        bucket = Relation(store.relation(head).arity)
-                        frontier[head] = bucket
-                    bucket.add(candidate)
+        seed = GLOBAL_POOL.encode_row(row)
+        deleted: dict[str, set[tuple[int, ...]]] = {pred: {seed}}
+
+        def overdelete(head: str, coded: tuple[int, ...]) -> bool:
+            rows = deleted.setdefault(head, set())
+            if coded in rows or not store.relation(head).contains_coded(coded):
+                return False
+            rows.add(coded)
+            return True
+
+        self._run_deltas(pred, seed, overdelete, stats)
         for name, rows in deleted.items():
             relation = store.relation(name)
-            for gone_row in rows:
-                relation.discard(gone_row)
+            for coded in rows:
+                relation.discard_coded(coded)
 
         # Phase 2 (re-derive): candidates with alternative support come
         # back, and their reinsertion propagates like an ordinary insert.
+        # Only the candidates are decoded: for a deterministic order and
+        # for unification with clause heads.
         rederived = 0
+        decode = GLOBAL_POOL.decode_row
         for name, rows in sorted(deleted.items()):
             if name == pred:
                 continue  # the EDB seed itself never re-derives
-            for candidate in sorted(rows, key=lambda r: tuple(map(repr, r))):
-                if candidate in store.relation(name):
+            relation = store.relation(name)
+            candidates = sorted(((decode(coded), coded) for coded in rows),
+                                key=lambda c: tuple(map(repr, c[0])))
+            for candidate, coded in candidates:
+                if relation.contains_coded(coded):
                     continue  # already back via propagation
                 if self._derivable(name, candidate):
-                    store.relation(name).add(candidate)
-                    rederived += 1 + self._propagate({name: [candidate]})
+                    relation.add_coded(coded)
+                    rederived += 1 + self._propagate(name, coded)
         self.stats.merge(stats)
         total_deleted = sum(len(rows) for rows in deleted.values())
         self._trace(op="delete", path="dred", pred=pred,
@@ -297,6 +279,24 @@ class IncrementalEngine:
                     changed=total_deleted - rederived,
                     wall_s=perf_counter() - start)
         return total_deleted - rederived
+
+    def _recompute(self, op: str, pred: str) -> int:
+        """Re-materialize after an ``op`` ("insert" or "delete") already
+        applied to the base; returns 1 (the base tuple) plus the derived
+        tuples that appeared (insert) or disappeared (delete)."""
+        start = perf_counter()
+        heads = self.program.head_predicates
+        before = {p: self._store.relation(p).frozen() for p in heads}
+        self._materialize()
+        changed = 1
+        for p in heads:
+            after = self._store.relation(p).frozen()
+            changed += len(after - before[p] if op == "insert"
+                           else before[p] - after)
+        self._trace(op=op, path="fallback", pred=pred,
+                    reason="negation or ID-atoms force full recomputation",
+                    changed=changed, wall_s=perf_counter() - start)
+        return changed
 
     def _derivable(self, pred: str, row: tuple[Value, ...]) -> bool:
         """Does some clause derive ``row`` from the current relations?"""
@@ -306,60 +306,52 @@ class IncrementalEngine:
             if seed is None:
                 continue
             order = order_body(clause, initially_bound=frozenset(seed))
-            _, bindings = self._executor.execute_bindings(
-                order, store, EvalStats(), seed)
-            if bindings:
+            if self._executor.execute_bindings(order, store, EvalStats(),
+                                               seed):
                 return True
         return False
 
-    def _fire(self, clause, position: int, delta: Relation,
-              stats: EvalStats) -> list[tuple]:
-        """The head tuples of ``clause`` with body literal ``position``
-        reading ``delta``, decoded."""
-        decode = GLOBAL_POOL.decode_row
-        return [decode(row) for row in self._executor.execute_coded(
-            clause, self._require_started(), stats,
-            delta_index=position, delta=delta)]
+    def _run_deltas(self, pred: str, seed: tuple[int, ...],
+                    admit: Callable[[str, tuple[int, ...]], bool],
+                    stats: EvalStats) -> None:
+        """Semi-naive rounds from the coded ``seed`` row of ``pred``, in
+        code space.
 
-    def _occurrences(self) -> list[tuple]:
-        cached = getattr(self, "_occurrence_cache", None)
-        if cached is None:
-            cached = []
-            for clause in self.program.clauses:
-                for i, literal in enumerate(clause.body):
-                    atom = literal.atom
-                    if isinstance(atom, Atom) and literal.positive \
-                            and not atom.is_builtin:
-                        cached.append((clause, i, atom.pred))
-            object.__setattr__(self, "_occurrence_cache", cached)
-        return cached
-
-    def _propagate(self, seed_deltas: dict[str, list[tuple]]) -> int:
-        """Semi-naive continuation from the inserted tuples."""
+        Each round fires every positive body occurrence of a delta
+        predicate with that delta; a derived head row joins the next
+        round's delta when ``admit(head, row)`` says so (insertion: it
+        was new to the store; over-deletion: it was not yet deleted).
+        """
         store = self._require_started()
-        stats = EvalStats()
-        added = 0
-        deltas: dict[str, Relation] = {}
-        for pred, rows in seed_deltas.items():
-            relation = Relation(store.relation(pred).arity)
-            relation.update(rows)
-            deltas[pred] = relation
-
+        execute = self._executor.execute_coded
+        deltas = {pred: [seed]}
         while deltas:
-            previous, deltas = deltas, {}
-            for clause, position, pred in self._occurrences():
-                delta = previous.get(pred)
-                if delta is None or not len(delta):
+            previous = {p: CodedDelta(rows) for p, rows in deltas.items()}
+            deltas = {}
+            for clause, position, body_pred in self._occurrences:
+                delta = previous.get(body_pred)
+                if delta is None:
                     continue
                 head = clause.head.pred
-                for row in self._fire(clause, position, delta, stats):
-                    if store.relation(head).add(row):
-                        added += 1
-                        stats.count_derived(head)
-                        bucket = deltas.get(head)
-                        if bucket is None:
-                            bucket = Relation(store.relation(head).arity)
-                            deltas[head] = bucket
-                        bucket.add(row)
+                fresh = [row for row in execute(clause, store, stats,
+                                                delta_index=position,
+                                                delta=delta)
+                         if admit(head, row)]
+                if fresh:
+                    deltas.setdefault(head, []).extend(fresh)
+
+    def _propagate(self, pred: str, coded: tuple[int, ...]) -> int:
+        """Semi-naive continuation from one inserted coded row; returns
+        the number of derived tuples it added."""
+        store = self._require_started()
+        stats = EvalStats()
+
+        def insert(head: str, row: tuple[int, ...]) -> bool:
+            if not store.relation(head).add_coded(row):
+                return False
+            stats.count_derived(head)
+            return True
+
+        self._run_deltas(pred, coded, insert, stats)
         self.stats.merge(stats)
-        return added
+        return stats.total_derived

@@ -24,7 +24,6 @@ from .ast import Atom, Clause, Program
 from .database import Database
 from .executor import BatchExecutor
 from .parser import parse_program
-from .pool import GLOBAL_POOL
 from .safety import order_body
 from .seminaive import EvalStats, RelationStore
 from .terms import Value, Var
@@ -164,13 +163,10 @@ class Explainer:
         if seed is None:
             return None
         order = order_body(clause, initially_bound=frozenset(seed))
-        layout, rows = self._executor.execute_bindings(
-            order, self._store, EvalStats(), seed)
-        decode = GLOBAL_POOL.decode_row
-        for row in rows:
-            derivation = self._build_node(
-                clause, fact, dict(zip(layout, decode(row))), depth,
-                visiting)
+        for binding in self._executor.execute_bindings(
+                order, self._store, EvalStats(), seed):
+            derivation = self._build_node(clause, fact, binding, depth,
+                                          visiting)
             if derivation is not None:
                 return derivation
         return None

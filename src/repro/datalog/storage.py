@@ -2,9 +2,10 @@
 
 A database saves to a directory of one CSV file per relation plus a
 ``_schema.json`` describing arities, sorts (the paper's 0/1 strings) and
-the declared u-domain.  Two on-disk formats coexist:
+the declared u-domain.  :func:`save_database` writes one format and
+:func:`load_database` reads two:
 
-* **Format 2 (default)** is the columnar snapshot: ``_pool.json`` holds
+* **Format 2** is the columnar snapshot: ``_pool.json`` holds
   the interned constants the snapshot references (ints first, then
   strings, each group sorted — byte-stable regardless of insertion
   order), and each relation CSV holds *file-local tagged codes*: odd
@@ -14,13 +15,11 @@ the declared u-domain.  Two on-disk formats coexist:
   process's own :data:`~repro.datalog.pool.GLOBAL_POOL` — snapshots move
   between processes whose pools have nothing in common, and the flat
   int-only CSVs are the stepping stone to mmap/spill storage.
-* **Format 1** is the legacy value-level CSV layout; :func:`load_database`
-  reads it transparently (``_schema.json`` without a ``format`` key), and
-  :func:`save_database` can still write it (``format=1``) for
-  interchange with external CSV tooling.
-
-The sort strings make the round trip lossless either way: numeric
-columns load back as sort-i integers.
+* **Format 1** is the legacy value-level CSV layout (``_schema.json``
+  without a ``format`` key); old snapshots still load, and their sort
+  strings bring numeric columns back as sort-i integers.  For
+  value-level CSV interchange, use
+  :func:`~repro.datalog.database.relation_to_csv`.
 
 >>> save_database(db, "snapshot/")
 >>> db2 = load_database("snapshot/")
@@ -34,14 +33,14 @@ import json
 import os
 
 from ..errors import SchemaError
-from .database import Database, Relation, relation_from_csv, relation_to_csv
+from .database import Database, Relation, relation_from_csv
 from .pool import GLOBAL_POOL
 from .terms import Sort, format_type, parse_type
 
 SCHEMA_FILE = "_schema.json"
 POOL_FILE = "_pool.json"
 
-#: The snapshot layout :func:`save_database` writes by default.
+#: The snapshot layout :func:`save_database` writes.
 STORAGE_FORMAT = 2
 
 
@@ -62,33 +61,21 @@ def _referenced_objects(db: Database) -> list:
     return ints + strs
 
 
-def save_database(db: Database, directory: str,
-                  format: int = STORAGE_FORMAT) -> None:
-    """Write ``db`` to ``directory`` (created if needed).
-
-    Args:
-        db: The database to persist.
-        directory: Target directory.
-        format: 2 (columnar code CSVs + ``_pool.json``, the default) or
-            1 (legacy value-level CSVs).
+def save_database(db: Database, directory: str) -> None:
+    """Write ``db`` to ``directory`` (created if needed) as a format-2
+    snapshot: code CSVs plus ``_pool.json``.
 
     Raises:
-        SchemaError: when a stored relation has no inferable schema but
-            contains tuples (cannot happen through the public API), a
-            relation name is not filesystem-safe, or ``format`` is
-            unknown.
+        SchemaError: when a relation name is not filesystem-safe.
     """
-    if format not in (1, 2):
-        raise SchemaError(f"unknown snapshot format {format!r}")
     os.makedirs(directory, exist_ok=True)
-    schema: dict = {"relations": {}, "udomain": sorted(db.udomain)}
-    if format == 2:
-        schema["format"] = 2
-        pooled = _referenced_objects(db)
-        local = {GLOBAL_POOL.encode(obj): i << 1
-                 for i, obj in enumerate(pooled)}
-        with open(os.path.join(directory, POOL_FILE), "w") as handle:
-            json.dump(pooled, handle)
+    schema: dict = {"relations": {}, "udomain": sorted(db.udomain),
+                    "format": STORAGE_FORMAT}
+    pooled = _referenced_objects(db)
+    local = {GLOBAL_POOL.encode(obj): i << 1
+             for i, obj in enumerate(pooled)}
+    with open(os.path.join(directory, POOL_FILE), "w") as handle:
+        json.dump(pooled, handle)
     for name in sorted(db.relation_names()):
         if not name.replace("_", "").isalnum():
             raise SchemaError(f"relation name {name!r} is not file-safe")
@@ -102,13 +89,10 @@ def save_database(db: Database, directory: str,
             "type": format_type(reltype),
         }
         with open(os.path.join(directory, f"{name}.csv"), "w") as handle:
-            if format == 2:
-                for row in relation.coded_rows():
-                    handle.write(",".join(
-                        str(c) if c & 1 else str(local[c]) for c in row))
-                    handle.write("\n")
-            else:
-                handle.write(relation_to_csv(relation))
+            for row in relation.coded_rows():
+                handle.write(",".join(
+                    str(c) if c & 1 else str(local[c]) for c in row))
+                handle.write("\n")
     with open(os.path.join(directory, SCHEMA_FILE), "w") as handle:
         json.dump(schema, handle, indent=2, sort_keys=True)
 

@@ -24,7 +24,6 @@ from ..datalog.ast import Atom, Clause, Literal
 from ..datalog.database import Database
 from ..datalog.executor import BatchExecutor
 from ..datalog.parser import parse_head_body_clauses
-from ..datalog.pool import GLOBAL_POOL
 from ..datalog.safety import order_body
 from ..datalog.seminaive import EvalStats, RelationStore
 from ..datalog.terms import Value, Var
@@ -144,12 +143,9 @@ class DisjunctiveEngine:
     def _violations(self, state: State) -> Iterator[tuple[Fact, ...]]:
         """Head alternatives of ground instances violated by ``state``."""
         store = RelationStore.of_facts(state, self._arities)
-        decode = GLOBAL_POOL.decode_row
         for clause, plan in zip(self.program.clauses, self._plans):
-            layout, rows = self._executor.execute_bindings(
-                plan, store, EvalStats())
-            for row in rows:
-                binding = dict(zip(layout, decode(row)))
+            for binding in self._executor.execute_bindings(
+                    plan, store, EvalStats()):
                 heads = tuple((atom.pred, atom.ground(binding))
                               for atom in clause.heads)
                 if not any(h in state for h in heads):

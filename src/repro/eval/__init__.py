@@ -19,7 +19,7 @@ from .scenario import (DEFAULT_SEEDS, PLANS, AnswerInvariant,
                        AnswerSetEquals, Assertion, ChoiceStability,
                        ExactAnswer, GroupCardinality, PerfEnvelope,
                        Scenario, ScenarioContext, SelectionSpec,
-                       UniformSelection, log_digest)
+                       UniformSelection)
 from .stats import (ChiSquareResult, chi_square_sf, chi_square_statistic,
                     selection_chi_square)
 from .suite import builtin_suite
@@ -31,6 +31,6 @@ __all__ = [
     "ExactAnswer", "GroupCardinality", "PerfEnvelope", "Scenario",
     "ScenarioContext", "ScenarioRunner", "SelectionSpec",
     "UniformSelection", "builtin_suite", "chi_square_sf",
-    "chi_square_statistic", "format_report", "log_digest", "run_suite",
+    "chi_square_statistic", "format_report", "run_suite",
     "selection_chi_square",
 ]

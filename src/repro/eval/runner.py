@@ -30,7 +30,7 @@ from ..datalog.planner import check_plan_mode
 from ..errors import ReproError
 from ..testing import oracle_model
 from .report import AssertionResult, CaseResult, EvalReport
-from .scenario import PLANS, Scenario, ScenarioContext, log_digest
+from .scenario import PLANS, Scenario, ScenarioContext
 
 #: Seeds used per statistical scenario in the quick profile.
 QUICK_SEEDS = 20
@@ -195,7 +195,7 @@ class ScenarioRunner:
         seed = seeds[0] if seeds else 0
         primary_ctx = contexts[self.plans[0]]
         recorded, log = primary_ctx.record(seed)
-        digest = log_digest(log)
+        digest = log.digest()
         replays = [(plan, ctx.engine.replay(ctx.db, log).database)
                    for plan, ctx in contexts.items()]
         replays.append(("oracle", oracle_model(

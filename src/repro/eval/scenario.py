@@ -31,7 +31,6 @@ share evaluations instead of re-running them.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterable, Optional, Sequence
@@ -184,15 +183,6 @@ class ScenarioContext:
         log = ChoiceLog(meta={"scenario": self.scenario.name, "seed": seed})
         result = self.engine.one(self.db, seed=seed, record=log)
         return result, log
-
-
-def log_digest(log: ChoiceLog) -> str:
-    """Order-sensitive digest of every decision in a choice log."""
-    payload = "\n".join(
-        f"{rec.pred}|{rec.group}|{rec.block!r}|{rec.ordering!r}"
-        f"|{rec.tid_limit}"
-        for rec in log)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # -- exact / invariant assertions -------------------------------------------
@@ -419,7 +409,7 @@ class ChoiceStability(Assertion):
         for seed in self._probe_seeds:
             result_a, log_a = ctx.record(seed)
             _, log_b = ctx.record(seed)
-            da, db_ = log_digest(log_a), log_digest(log_b)
+            da, db_ = log_a.digest(), log_b.digest()
             if da != db_:
                 return self._fail(
                     f"seed {seed}: two same-seed draws recorded different "
@@ -498,5 +488,5 @@ __all__ = [
     "PLANS", "DEFAULT_SEEDS", "Assertion", "AnswerInvariant",
     "AnswerSetEquals", "ChoiceStability", "ExactAnswer", "GroupCardinality",
     "PerfEnvelope", "Scenario", "ScenarioContext", "SelectionSpec",
-    "UniformSelection", "log_digest",
+    "UniformSelection",
 ]

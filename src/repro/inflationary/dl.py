@@ -31,7 +31,6 @@ from ..datalog.ast import Atom, Clause, Literal
 from ..datalog.database import Database
 from ..datalog.executor import BatchExecutor
 from ..datalog.parser import parse_head_body_clauses
-from ..datalog.pool import GLOBAL_POOL
 from ..datalog.safety import order_body
 from ..datalog.seminaive import EvalStats, RelationStore
 from ..datalog.terms import Value, Var
@@ -215,17 +214,14 @@ class DLEngine:
                 invent: bool = True) -> Iterator[Firing]:
         """All productive instantiations applicable in ``state``."""
         store = RelationStore.of_facts(state, self._arities)
-        decode = GLOBAL_POOL.decode_row
         for clause, plan in zip(self.program.clauses, self._plans):
             invented = clause.invented_vars
             if invented and not invent:
                 raise EvaluationError(
                     f"clause {clause} invents values; exhaustive "
                     "enumeration over invented values is not supported")
-            layout, rows = self._executor.execute_bindings(
-                plan, store, EvalStats())
-            for row in rows:
-                full = dict(zip(layout, decode(row)))
+            for full in self._executor.execute_bindings(
+                    plan, store, EvalStats()):
                 for var in invented:
                     full[var] = self._fresh_value()
                 adds: set[Fact] = set()

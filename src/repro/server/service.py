@@ -813,7 +813,7 @@ class IdlogService:
         session = self.session(request, context)
         directory = field(request, "dir", str)
         with session.lock:
-            save_database(session.db, directory, format=STORAGE_FORMAT)
+            save_database(session.db, directory)
             rows = sum(len(session.db.relation(name))
                        for name in session.db.relation_names())
             count = len(session.db.relation_names())

@@ -23,7 +23,6 @@ from ..datalog.ast import Clause, Program
 from ..datalog.database import Database
 from ..datalog.executor import BatchExecutor
 from ..datalog.parser import parse_program
-from ..datalog.pool import GLOBAL_POOL
 from ..datalog.safety import order_body
 from ..datalog.seminaive import EvalStats, RelationStore, evaluate
 from ..datalog.terms import Value
@@ -94,7 +93,6 @@ class StableEngine:
         store = RelationStore.of_facts(upper, {
             pred: program.arity(pred) for pred in program.predicates})
         executor = BatchExecutor()
-        decode = GLOBAL_POOL.decode_row
         out: list[GroundClause] = []
         # Each clause runs as its envelope clause (negative relation
         # literals removed, comparisons kept): negatives are recorded,
@@ -104,10 +102,8 @@ class StableEngine:
                               if lit.positive and not lit.atom.is_builtin)
             negatives = tuple(lit.atom for lit in clause.body
                               if not lit.positive and not lit.atom.is_builtin)
-            layout, rows = executor.execute_bindings(
-                order_body(envelope), store, EvalStats())
-            for row in rows:
-                binding = dict(zip(layout, decode(row)))
+            for binding in executor.execute_bindings(
+                    order_body(envelope), store, EvalStats()):
                 out.append(GroundClause(
                     (clause.head.pred, clause.head.ground(binding)),
                     tuple((a.pred, a.ground(binding)) for a in positives),

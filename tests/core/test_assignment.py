@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.assignment import (CanonicalAssignment, OracleAssignment,
                                    RandomAssignment)
+from repro.core.engine import IdlogEngine
 from repro.core.idrelations import validate_id_function
-from repro.datalog.database import Relation
-from repro.errors import EvaluationError
+from repro.datalog.database import Database, Relation
+from repro.errors import EvaluationError, SchemaError
 
 R = Relation(2, tuples=[("a", "c"), ("a", "d"), ("b", "c")])
 G1 = frozenset({1})
@@ -56,3 +57,12 @@ class TestOracle:
     def test_fallback(self):
         oracle = OracleAssignment({}, fallback=CanonicalAssignment())
         validate_id_function(R, G1, oracle.id_function("r", G1, R))
+
+    def test_table_ordering_is_validated(self):
+        # ("zz",) is no tuple of emp: no ID-function numbers it, so no
+        # answer may contain pick(zz).
+        db = Database.from_facts({"emp": [("a",), ("b",)]})
+        table = {("emp", frozenset()): {(): (("a",), ("b",), ("zz",))}}
+        engine = IdlogEngine("pick(N) :- emp[](N, T), T < 5.")
+        with pytest.raises(SchemaError, match="bijection"):
+            engine.run(db, OracleAssignment(table))

@@ -69,9 +69,8 @@ def run_bindings_both(program, order, db, seed=None, overrides=None):
     order."""
     batch_stats, oracle_stats = EvalStats(), EvalStats()
     store = prepare_store(program, db, None, batch_stats)
-    layout, rows = BatchExecutor().execute_bindings(
+    batch = BatchExecutor().execute_bindings(
         order, store, batch_stats, seed, overrides)
-    batch = [dict(zip(layout, GLOBAL_POOL.decode_row(row))) for row in rows]
     store = prepare_store(program, db, None, oracle_stats)
     oracle = list(_solve_literals(order, 0, dict(seed or {}), store,
                                   oracle_stats, overrides or {}))
@@ -214,11 +213,10 @@ class TestBindings:
         store = prepare_store(program, db, None, EvalStats())
         seed = {clause.head.args[0]: "never-seen-constant"}
         size = len(GLOBAL_POOL)
-        layout, rows = BatchExecutor().execute_bindings(
+        bindings = BatchExecutor().execute_bindings(
             order_body(clause, initially_bound=frozenset(seed)), store,
             EvalStats(), seed)
-        assert rows == []
-        assert layout[0] == clause.head.args[0]
+        assert bindings == []
         assert len(GLOBAL_POOL) == size
         assert "never-seen-constant" not in GLOBAL_POOL
 

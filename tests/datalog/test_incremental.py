@@ -16,6 +16,19 @@ TC = """
     path(X, Y) :- edge(X, Z), path(Z, Y).
 """
 
+WEIGHTED = """
+    hop(X, Y, W) :- wedge(X, Y, W).
+    hop(X, Y, W) :- wedge(X, Z, W), hop(Z, Y, V).
+    heavy(X, Y) :- hop(X, Y, W), W > 1.
+"""
+
+#: (program, base predicate, first tuple, per-column value choices) for
+#: the random update sequences.
+UPDATE_PROGRAMS = [
+    (TC, "edge", ("a", "b"), ("abcd", "abcd")),
+    (WEIGHTED, "wedge", ("a", "b", 0), ("abcd", "abcd", (0, 1, 2, 3))),
+]
+
 NEGATION = """
     linked(X) :- edge(X, Y).
     lone(X) :- node(X), not linked(X).
@@ -224,21 +237,35 @@ class TestDeletion:
     @settings(max_examples=30, deadline=None)
     def test_random_update_sequences_match_scratch(self, data):
         """Interleaved inserts/deletes end in the same state as a fresh
-        evaluation of the surviving facts."""
-        engine = IncrementalEngine(TC)
-        engine.start(Database.from_facts({"edge": [("a", "b")]}))
-        live = {("a", "b")}
-        domain = "abcd"
-        for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
-            edge = (data.draw(st.sampled_from(domain)),
-                    data.draw(st.sampled_from(domain)))
-            if data.draw(st.booleans()) or edge not in live:
-                engine.add_fact("edge", edge)
-                live.add(edge)
-            else:
-                engine.delete_fact("edge", edge)
-                live.discard(edge)
-        scratch = DatalogEngine(TC).query(
-            Database.from_facts({"edge": sorted(live)}), "path") \
-            if live else frozenset()
-        assert engine.relation("path") == scratch
+        evaluation of the surviving facts, and every update returns the
+        base tuple plus the derived tuples that appeared or disappeared.
+        ``WEIGHTED`` has int columns, and its ``heavy`` starts empty."""
+        for program, pred, start, columns in UPDATE_PROGRAMS:
+            engine = IncrementalEngine(program)
+            engine.start(Database.from_facts({pred: [start]}))
+            heads = sorted(engine.program.head_predicates)
+            live = {start}
+            for _ in range(data.draw(st.integers(min_value=1,
+                                                 max_value=10))):
+                row = tuple(data.draw(st.sampled_from(column))
+                            for column in columns)
+                before = {p: engine.relation(p) for p in heads}
+                if data.draw(st.booleans()) or row not in live:
+                    changed = engine.add_fact(pred, row)
+                    base_changed = row not in live
+                    live.add(row)
+                else:
+                    changed = engine.delete_fact(pred, row)
+                    base_changed = True
+                    live.discard(row)
+                flipped = sum(len(before[p] ^ engine.relation(p))
+                              for p in heads)
+                assert changed == (1 + flipped if base_changed else 0)
+            scratch = DatalogEngine(program).run(
+                Database.from_facts({pred: sorted(live)})) if live else None
+            for p in heads:
+                assert engine.relation(p) == (
+                    scratch.tuples(p) if scratch is not None else frozenset())
+                if engine.relation(p):
+                    assert engine.database().relation(p).schema == \
+                        scratch.relation(p).schema

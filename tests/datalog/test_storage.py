@@ -59,6 +59,27 @@ class TestRoundTrip:
         assert load_database(directory).snapshot() == db.snapshot()
 
 
+class TestFormat1Reader:
+    def test_hand_written_v1_directory_loads(self, tmp_path):
+        # The legacy layout: no "format" key, value-level CSVs, sort-i
+        # columns named only by the type string.
+        (tmp_path / SCHEMA_FILE).write_text(json.dumps({
+            "relations": {"emp": {"arity": 2, "type": "00"},
+                          "score": {"arity": 2, "type": "01"},
+                          "ghost": {"arity": 1, "type": "0"}},
+            "udomain": ["ann", "bob", "it", "spare", "toys"]}))
+        (tmp_path / "emp.csv").write_text("ann,toys\nbob,it\n")
+        (tmp_path / "score.csv").write_text("ann,10\nbob,7\n")
+        (tmp_path / "ghost.csv").write_text("")
+        back = load_database(str(tmp_path))
+        assert back.snapshot() == {
+            "emp": frozenset({("ann", "toys"), ("bob", "it")}),
+            "score": frozenset({("ann", 10), ("bob", 7)}),
+            "ghost": frozenset()}
+        assert back.udomain == {"ann", "bob", "it", "spare", "toys"}
+        assert back.relation("score").schema == (Sort.U, Sort.I)
+
+
 class TestErrors:
     def test_missing_schema_file(self, tmp_path):
         with pytest.raises(SchemaError):

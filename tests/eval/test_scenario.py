@@ -8,7 +8,7 @@ from repro.eval.scenario import (AnswerInvariant, AnswerSetEquals,
                                  ChoiceStability, ExactAnswer,
                                  GroupCardinality, PerfEnvelope, Scenario,
                                  ScenarioContext, SelectionSpec,
-                                 UniformSelection, log_digest)
+                                 UniformSelection)
 
 
 def emp_blocks(db):
@@ -58,7 +58,7 @@ class TestScenarioContext:
         result_a, log_a = ctx.record(5)
         result_b, log_b = ctx.record(5)
         assert log_a is not log_b
-        assert log_digest(log_a) == log_digest(log_b)
+        assert log_a.digest() == log_b.digest()
         assert result_a.tuples("sample") == result_b.tuples("sample")
 
 

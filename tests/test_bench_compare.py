@@ -2,7 +2,7 @@
 
 The comparator is a script, not a package module; it is loaded here via
 importlib so the regression rules (hard counter equality, digest
-exemptions, wall tolerance, coverage) are unit-testable.
+exemptions, coverage) are unit-testable.
 """
 
 import copy
@@ -27,13 +27,13 @@ def _load_compare():
 compare_mod = _load_compare()
 
 
-def make_report(quick=False, wall=0.01, probes=100, digest="abc123"):
+def make_report(quick=False, probes=100, digest="abc123"):
     return {
         "schema": 1, "quick": quick,
         "benchmarks": {
             "bench_x": {
                 "batch/greedy": {
-                    "wall_s": wall, "answer_digest": digest,
+                    "wall_s": 0.01, "answer_digest": digest,
                     "answer_size": 10, "probes": probes,
                     "iterations": 5, "derived": 42, "firings": 50,
                     "pipelines_compiled": 2, "pipelines_reused": 3,
@@ -97,17 +97,6 @@ class TestCompareRules:
                                               strict_digests=True)
         assert problems == []
         assert not any("fallback" in n for n in notes)
-
-    def test_wall_time_within_tolerance_passes(self):
-        cand = make_report(wall=0.018)  # < 0.01 * 2.0 + 0.05
-        problems, _ = compare_mod.compare(make_report(), cand)
-        assert problems == []
-
-    def test_wall_time_regression_caught(self):
-        cand = make_report(wall=9.0)
-        problems, _ = compare_mod.compare(
-            make_report(), cand, wall_slack=0.0)
-        assert any("wall_s" in p for p in problems)
 
     def test_missing_kernel_and_mode_are_regressions(self):
         cand = copy.deepcopy(make_report())
@@ -182,9 +171,8 @@ class TestCommittedTrajectories:
             pytest.skip(f"{base} / {cand} not present")
         out = io.StringIO()
         # Committed files may come from different machines: counters are
-        # enforced exactly, wall times get the cross-machine tolerance.
-        args = [str(base_path), str(cand_path),
-                "--wall-tolerance", "4.0", "--wall-slack", "0.1"]
+        # machine-independent and enforced exactly.
+        args = [str(base_path), str(cand_path)]
         for accepted in ACCEPTED_DRIFT.get((base, cand), ()):
             args += ["--accept", accepted]
         rc = compare_mod.main(args, out=out)

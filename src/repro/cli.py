@@ -361,12 +361,7 @@ def _write_metrics(metrics, args, out) -> None:
     """Export the run's metrics registry (``run --metrics FILE``)."""
     if metrics is None:
         return
-    fmt = getattr(args, "metrics_format", "prom")
-    if fmt == "json":
-        import json as json_module
-        text = json_module.dumps(metrics.snapshot(), indent=2) + "\n"
-    else:
-        text = metrics.to_prometheus()
+    text = metrics.registry.render(getattr(args, "metrics_format", "prom"))
     if args.metrics == "-":
         out.write(text)
         return
@@ -719,27 +714,11 @@ def _cmd_top(args, out) -> int:
 
 def _plans_from_trace(args, out) -> int:
     """Fold a recorded JSONL trace back into a plan-quality report."""
-    import json
-    from .datalog.trace import MISESTIMATE_THRESHOLD
+    from .datalog.trace import (MISESTIMATE_THRESHOLD, read_events,
+                                worst_q_error)
     tracer = TimingTracer()
-    with open(args.trace) as handle:
-        for line_no, raw in enumerate(handle, 1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ReproError(
-                    f"{args.trace}:{line_no}: not valid JSONL: {exc}")
-            if not isinstance(record, dict) or "event" not in record:
-                raise ReproError(
-                    f"{args.trace}:{line_no}: not a span event "
-                    "(no 'event' field)")
-            kind = record.pop("event")
-            record.pop("seq", None)
-            record.pop("schema", None)
-            tracer.emit(kind, **record)
+    for kind, fields in read_events(args.trace):
+        tracer.emit(kind, **fields)
     quality = tracer.profile.plan_quality()
     print(f"plan quality: {args.trace} "
           f"({tracer.profile.events} span event(s))", file=out)
@@ -759,7 +738,7 @@ def _plans_from_trace(args, out) -> int:
           f"{'probes':>9} {'drifts':>7}  clause", file=out)
     shown = rows[:args.limit]
     for row in shown:
-        worst = max(row["q_error"], row["worst_stage_q_error"])
+        worst = worst_q_error(row["q_error"], [row["worst_stage_q_error"]])
         cell = f"{worst:.1f}" + ("!" if row["misestimated"] else "")
         print(f"  {cell:>8} {row['calls']:>6} "
               f"{row['est_probes']:>11.0f} {row['probes']:>9} "

@@ -10,17 +10,20 @@ captured.  This module is the nondeterminism audit trail:
   content digest of the block so later replays can detect input drift.
 * :class:`ChoiceLog` — the ordered sequence of all decisions of one
   evaluation, plus (optionally) the answer relations the run produced.
-  Serializes to JSONL whose ``id_choice`` lines are *exactly* the events
-  a :class:`~repro.datalog.trace.JsonTracer` writes, so a ``--trace``
-  file of an IDLOG run loads as a choice log too.
+  It is a tracer: :meth:`ChoiceLog.emit` folds the ``id_choice`` and
+  ``id_materialized`` span events, and builds every record — live,
+  in :meth:`ChoiceLog.from_jsonable` and in :meth:`ChoiceLog.load`.
+  Its JSONL ``id_choice`` lines are *exactly* the events a
+  :class:`~repro.datalog.trace.JsonTracer` writes, so a ``--trace``
+  file of an IDLOG run loads as the same choice log.
 * :func:`diverge` / :func:`format_divergence` — given two logs (plus
   their answer snapshots), report the first differing ID choice per
   ``(pred, grouping, block)`` and attribute the downstream answer-set
   delta to it.
 
-Recording is wired into the engine's ID-providers
-(:class:`~repro.core.engine.IdlogEngine` ``run(record=...)`` /
-``one(record=...)``), replay into
+Recording is a traced run: :class:`~repro.core.engine.IdlogEngine`
+``run(record=...)`` / ``one(record=...)`` tee the log onto the
+evaluation's tracer.  Replay is wired into
 :meth:`~repro.core.engine.IdlogEngine.replay`; the CLI surfaces both as
 ``repro-idlog run --record/--replay`` and the differ as
 ``repro-idlog diverge``.
@@ -33,7 +36,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
-from ..datalog.trace import EV_ID_CHOICE, SCHEMA_VERSION
+from ..datalog.trace import (EV_ID_CHOICE, EV_ID_MATERIALIZED,
+                             SCHEMA_VERSION, read_events)
 from ..errors import ReproError
 from .idrelations import Grouping, IdFunction
 
@@ -115,19 +119,16 @@ def choice_records(pred: str, group: Grouping, id_function: IdFunction,
                                     key=lambda item: repr(item[0]))]
 
 
-def _tupled(value):
-    """JSON arrays back to the tuples the engine compares against."""
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
+def _tupled_answers(answers: Mapping) -> dict[str, tuple[tuple, ...]]:
+    """JSON answer relations back to the tuples the engine compares."""
+    return {pred: tuple(map(tuple, rows)) for pred, rows in answers.items()}
 
 
 class ChoiceLog:
     """The ordered ID-choice audit trail of one IDLOG evaluation.
 
-    Grows through :meth:`record_assignment` (called by the engine's
-    recording ID-provider, once per materialized ``(pred, grouping)``
-    pair) and optionally carries the run's answer relations
+    Grows through :meth:`emit` (a recorded run tees the log onto its
+    tracer) and optionally carries the run's answer relations
     (:meth:`set_answers`) so a replay — or the :func:`diverge` differ —
     can check end results, not just choices.
 
@@ -146,22 +147,36 @@ class ChoiceLog:
 
     # -- building ----------------------------------------------------------
 
-    def record_assignment(self, pred: str, group: Grouping,
-                          id_function: IdFunction,
-                          limit: Optional[int] = None) -> list[ChoiceRecord]:
-        """Record one ID-function application; returns its new records."""
-        gtuple = tuple(sorted(group))
-        if (pred, gtuple) in self._groups:
-            raise ReproError(
-                f"choice log already holds a decision for "
-                f"{pred}[{','.join(map(str, gtuple))}]; one log records "
-                "one evaluation")
-        records = choice_records(pred, group, id_function, limit)
-        self._groups[(pred, gtuple)] = {
-            "tid_limit": limit,
-            "blocks": {rec.block: rec for rec in records}}
-        self.records.extend(records)
-        return records
+    def emit(self, kind: str, **fields) -> None:
+        """Fold one span event into the log (the tracer protocol).
+
+        ``id_choice`` adds a :class:`ChoiceRecord`; ``id_materialized``
+        registers its ``(pred, group)`` pair and tid limit, so a pair
+        materialized over an empty relation is kept too.  Other fields
+        and kinds are ignored.  A block the log already holds raises
+        :class:`~repro.errors.ReproError`: one log records one
+        evaluation.
+        """
+        if kind not in (EV_ID_CHOICE, EV_ID_MATERIALIZED):
+            return
+        group = tuple(fields["group"])
+        blocks = self._groups.setdefault(
+            (fields["pred"], group),
+            {"tid_limit": fields.get("tid_limit"), "blocks": {}})["blocks"]
+        if kind == EV_ID_CHOICE:
+            record = ChoiceRecord(
+                pred=fields["pred"], group=group,
+                block=tuple(fields["block"]),
+                block_digest=fields["block_digest"],
+                block_size=fields["block_size"],
+                ordering=tuple(map(tuple, fields["ordering"])),
+                tid_limit=fields.get("tid_limit"))
+            if record.block in blocks:
+                raise ReproError(
+                    f"choice log already holds a decision for "
+                    f"{record.describe()}; one log records one evaluation")
+            blocks[record.block] = record
+            self.records.append(record)
 
     def set_answers(self, answers: Mapping[str, Iterable[tuple]]) -> None:
         """Attach the run's answer relations (sorted for determinism)."""
@@ -249,25 +264,10 @@ class ChoiceLog:
                 f"schema {SCHEMA_VERSION}")
         log = cls(meta=data.get("meta"))
         for entry in data.get("groupings", ()):
-            key = (entry["pred"], tuple(entry["group"]))
-            log._groups[key] = {"tid_limit": entry.get("tid_limit"),
-                                "blocks": {}}
+            log.emit(EV_ID_MATERIALIZED, **entry)
         for fields in data.get("choices", ()):
-            record = ChoiceRecord(
-                pred=fields["pred"], group=tuple(fields["group"]),
-                block=_tupled(fields["block"]),
-                block_digest=fields["block_digest"],
-                block_size=fields["block_size"],
-                ordering=tuple(_tupled(row) for row in fields["ordering"]),
-                tid_limit=fields.get("tid_limit"))
-            entry = log._groups.setdefault(
-                (record.pred, record.group),
-                {"tid_limit": record.tid_limit, "blocks": {}})
-            entry["blocks"][record.block] = record
-            log.records.append(record)
-        log.answers = {
-            pred: tuple(_tupled(row) for row in rows)
-            for pred, rows in data.get("answers", {}).items()}
+            log.emit(EV_ID_CHOICE, **fields)
+        log.answers = _tupled_answers(data.get("answers", {}))
         return log
 
     def save(self, sink: Union[str, TextIO]) -> None:
@@ -300,38 +300,22 @@ class ChoiceLog:
     def load(cls, source: Union[str, TextIO]) -> "ChoiceLog":
         """Read a log from JSONL — a saved log *or* any ``--trace`` file.
 
-        Only ``choice_log`` / ``id_choice`` / ``answers`` lines are
-        interpreted; everything else (clause firings, rounds, ...) is
-        skipped, which is what lets a full JSONL trace double as a
-        choice log.  The lines are collected into the
-        :meth:`to_jsonable` form and read by :meth:`from_jsonable`.
+        The ``choice_log`` header and the ``answers`` line are read
+        here; every other line goes to :meth:`emit`, which keeps the
+        ``id_choice`` / ``id_materialized`` events and skips the rest
+        (clause firings, rounds, ...).  That is what lets a full JSONL
+        trace double as a choice log, empty groupings included.
         """
-        data: dict = {"choices": []}
-        handle = open(source, encoding="utf-8") \
-            if isinstance(source, str) else source
-        try:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ReproError(
-                        f"choice log line is not valid JSON: {exc}")
-                kind = line.get("event")
-                if kind == "choice_log":
-                    data.update(schema=line.get("schema"),
-                                meta=line.get("meta"),
-                                groupings=line.get("groupings", ()))
-                elif kind == EV_ID_CHOICE:
-                    data["choices"].append(line)
-                elif kind == "answers":
-                    data["answers"] = line.get("answers", {})
-        finally:
-            if isinstance(source, str):
-                handle.close()
-        log = cls.from_jsonable(data)
+        log = cls()
+        for kind, fields in read_events(source):
+            if kind == "choice_log":
+                log.meta = dict(fields.get("meta") or {})
+                for entry in fields.get("groupings", ()):
+                    log.emit(EV_ID_MATERIALIZED, **entry)
+            elif kind == "answers":
+                log.answers = _tupled_answers(fields.get("answers", {}))
+            else:
+                log.emit(kind, **fields)
         if not log._groups:
             raise ReproError(
                 "no id_choice lines found; not a choice log (or a "

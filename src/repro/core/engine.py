@@ -35,7 +35,8 @@ from ..datalog.planner import ClausePlanner, check_plan_mode
 from ..datalog.seminaive import (EvalStats, RelationStore, evaluate_stratum,
                                  prepare_store)
 from ..datalog.trace import (EV_EVAL_END, EV_EVAL_START, EV_ID_CHOICE,
-                             EV_ID_MATERIALIZED, Tracer, resolve_tracer)
+                             EV_ID_MATERIALIZED, TeeTracer, Tracer,
+                             resolve_tracer)
 from ..errors import EvaluationError, ReplayError
 from .assignment import (AssignmentStrategy, CanonicalAssignment,
                          RandomAssignment)
@@ -52,13 +53,11 @@ class _StrategyIdProvider:
     def __init__(self, strategy: AssignmentStrategy,
                  limits: dict[tuple[str, Grouping], Optional[int]],
                  use_limits: bool,
-                 tracer: Optional[Tracer] = None,
-                 record: Optional[ChoiceLog] = None) -> None:
+                 tracer: Optional[Tracer] = None) -> None:
         self._strategy = strategy
         self._limits = limits
         self._use_limits = use_limits
         self._tracer = tracer
-        self._record = record
         #: Everything materialized so far (exposed on EvalResult).
         self.materialized: dict[tuple[str, Grouping], Relation] = {}
 
@@ -71,19 +70,11 @@ class _StrategyIdProvider:
         relation = make_id_relation(base, id_function, limit)
         stats.id_tuples += len(relation)
         self.materialized[(pred, group)] = relation
-        # The no-record, no-tracer hot path ends here: the audit records
-        # are only ever constructed when someone is listening.
-        if self._record is not None or self._tracer is not None:
-            if self._record is not None:
-                records = self._record.record_assignment(
-                    pred, group, id_function, limit)
-            else:
-                records = choice_records(pred, group, id_function, limit)
-            if self._tracer is not None:
-                for rec in records:
-                    self._tracer.emit(EV_ID_CHOICE,
-                                      **rec.as_event_fields())
+        # The no-tracer hot path ends here: the audit records are only
+        # ever constructed when someone is listening.
         if self._tracer is not None:
+            for rec in choice_records(pred, group, id_function, limit):
+                self._tracer.emit(EV_ID_CHOICE, **rec.as_event_fields())
             self._tracer.emit(
                 EV_ID_MATERIALIZED, pred=pred, group=sorted(group),
                 base_size=len(base), id_tuples=len(relation),
@@ -290,9 +281,14 @@ class IdlogEngine:
         """
         strategy = assignment or CanonicalAssignment()
         tracer = resolve_tracer(self.tracer)
+        if record is not None:
+            # A recorded run is a traced run: the log folds the
+            # evaluation's id_choice/id_materialized events.
+            tracer = record if tracer is None \
+                else TeeTracer([tracer, record])
         provider = _StrategyIdProvider(
             strategy, self.compiled.tid_limits, self.use_group_limits,
-            tracer=tracer, record=record)
+            tracer=tracer)
         return self._evaluate(db, provider, tracer)
 
     def replay(self, db: Database, log: ChoiceLog) -> EvalResult:

@@ -48,7 +48,7 @@ on the same clause are *equal*, in order, not merely similar.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from ..errors import EvaluationError
 from .ast import Atom, Clause, Literal
@@ -728,7 +728,7 @@ class BatchExecutor:
                          store: "RelationStore", stats: "EvalStats",
                          seed: Optional[dict[Var, Value]] = None,
                          overrides: Optional[dict[int, Relation]] = None,
-                         ) -> list[dict[Var, Value]]:
+                         ) -> Iterator[dict[Var, Value]]:
         """Every binding satisfying ``order``, as ``{Var: value}`` dicts.
 
         The entry point for callers that need the body bindings rather
@@ -740,7 +740,8 @@ class BatchExecutor:
         there are no bindings); ``overrides`` maps positions in ``order``
         to the relations those literals read instead of their stored
         ones.  Bindings come in the reference solver's enumeration order,
-        with equal probes.
+        with equal probes.  The joins (and their probes) run at call
+        time; each binding is decoded when the iterator reaches it.
         """
         bound = tuple(seed) if seed else ()
         key = (order, bound)
@@ -753,12 +754,11 @@ class BatchExecutor:
             stats.pipelines_reused += 1
         first = tuple(map(_POOL.try_encode, seed.values())) if seed else ()
         if None in first:
-            return []
+            return iter(())
+        rows = self._run(pipeline, store, stats, [first], overrides)
         layout = pipeline.layout
         decode = _POOL.decode_row
-        return [dict(zip(layout, decode(row)))
-                for row in self._run(pipeline, store, stats, [first],
-                                     overrides)]
+        return (dict(zip(layout, decode(row))) for row in rows)
 
     @staticmethod
     def _run(pipeline: _Pipeline, store: "RelationStore",

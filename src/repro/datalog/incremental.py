@@ -306,8 +306,9 @@ class IncrementalEngine:
             if seed is None:
                 continue
             order = order_body(clause, initially_bound=frozenset(seed))
-            if self._executor.execute_bindings(order, store, EvalStats(),
-                                               seed):
+            bindings = self._executor.execute_bindings(
+                order, store, EvalStats(), seed)
+            if next(bindings, None) is not None:  # a binding may be {}
                 return True
         return False
 

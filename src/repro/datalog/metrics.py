@@ -13,7 +13,8 @@ Three layers:
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` families, with
   two exporters: :meth:`MetricsRegistry.to_prometheus` (the text
   exposition format Prometheus scrapes) and
-  :meth:`MetricsRegistry.snapshot` (a JSON-ready dict).
+  :meth:`MetricsRegistry.snapshot` (a JSON-ready dict);
+  :meth:`MetricsRegistry.render` picks one for a metrics file.
 * :class:`MetricsTracer` — an adapter folding the *existing* PR-3 span
   events (clause firings, probes, delta rounds, plan builds, pipeline
   compilations, ID materializations, incremental ops, top-down queries)
@@ -36,6 +37,7 @@ resolution at one end.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from time import perf_counter
@@ -46,7 +48,7 @@ from .trace import (EV_CLAUSE_FIRE, EV_EVAL_END, EV_EVAL_START,
                     EV_PIPELINE_COMPILED, EV_PLAN_BUILT, EV_PLAN_DRIFT,
                     EV_ROUND, EV_STRATUM_END, EV_STRATUM_START,
                     EV_TOPDOWN_QUERY, MISESTIMATE_THRESHOLD,
-                    SCHEMA_VERSION, q_error)
+                    SCHEMA_VERSION, q_error, worst_q_error)
 
 INF = float("inf")
 
@@ -417,6 +419,13 @@ class MetricsRegistry:
             families.append(entry)
         return {"schema": SCHEMA_VERSION, "metrics": families}
 
+    def render(self, fmt: str = "prom") -> str:
+        """The metrics-file body: :meth:`to_prometheus` for ``"prom"``,
+        the :meth:`snapshot` as indented JSON for ``"json"``."""
+        if fmt == "json":
+            return json.dumps(self.snapshot(), indent=2) + "\n"
+        return self.to_prometheus()
+
 
 # -- the trace-event adapter -------------------------------------------------
 
@@ -525,10 +534,11 @@ class MetricsTracer:
             stages = fields.get("stages")
             if stages:
                 est_probes = sum(s.get("est_probes", 0.0) for s in stages)
-                err = q_error(est_probes, fields.get("probes", 0))
-                for stage in stages:
-                    err = max(err, q_error(stage.get("est_rows", 0.0),
-                                           stage.get("actual_rows", 0)))
+                err = worst_q_error(
+                    q_error(est_probes, fields.get("probes", 0)),
+                    (q_error(stage.get("est_rows", 0.0),
+                             stage.get("actual_rows", 0))
+                     for stage in stages))
                 self._plan_q_error.observe(err)
                 if err >= MISESTIMATE_THRESHOLD:
                     self._plan_misestimates.labels(
@@ -566,14 +576,6 @@ class MetricsTracer:
         # stratum_start / topdown_round carry no aggregates.
         elif kind == EV_STRATUM_START:
             pass
-
-    def to_prometheus(self) -> str:
-        """Shorthand for ``self.registry.to_prometheus()``."""
-        return self.registry.to_prometheus()
-
-    def snapshot(self) -> dict:
-        """Shorthand for ``self.registry.snapshot()``."""
-        return self.registry.snapshot()
 
 
 # -- the stderr heartbeat ----------------------------------------------------

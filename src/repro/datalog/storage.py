@@ -21,8 +21,11 @@ the declared u-domain.  :func:`save_database` writes one format and
   value-level CSV interchange, use
   :func:`~repro.datalog.database.relation_to_csv`.
 
->>> save_database(db, "snapshot/")
->>> db2 = load_database("snapshot/")
+>>> import os, tempfile
+>>> db = Database.from_facts({"emp": [("ann", 3), ("bob", 5)]})
+>>> with tempfile.TemporaryDirectory() as tmp:
+...     save_database(db, os.path.join(tmp, "snapshot"))
+...     db2 = load_database(os.path.join(tmp, "snapshot"))
 >>> db2.snapshot() == db.snapshot()
 True
 """

@@ -22,7 +22,8 @@ Design rules:
   ``emit(kind, **fields) -> None``; the event vocabulary is the module's
   ``EV_*`` constants.  This keeps the protocol trivial to implement
   (tests use :class:`CallbackTracer`) and trivial to serialize
-  (:class:`JsonTracer` writes one JSON object per event).
+  (:class:`JsonTracer` writes one JSON object per event,
+  :func:`read_events` reads them back).
 * **Profiles are folds over the event stream.**  :class:`TimingTracer`
   aggregates events into per-stratum and per-clause
   :class:`StratumProfile` / :class:`ClauseProfile` rows;
@@ -45,7 +46,10 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Protocol, TextIO, Union
+from typing import (Callable, Iterable, Iterator, Optional, Protocol,
+                    TextIO, Union)
+
+from ..errors import ReproError
 
 #: Format version stamped on every serialized observability artifact —
 #: each :class:`JsonTracer` event, :meth:`Profile.as_dict`, and the
@@ -103,6 +107,18 @@ def q_error(estimated: float, actual: float) -> float:
     est = float(estimated) + 1.0
     act = float(actual) + 1.0
     return max(est / act, act / est)
+
+
+def worst_q_error(probe_q_error: float,
+                  stage_q_errors: Iterable[float]) -> float:
+    """A clause's q-error — the one miss measure every table, flag,
+    metric and ``plans`` report uses: the worst of its probe-total and
+    per-stage row q-errors.
+
+    >>> worst_q_error(1.5, [1.0, 3.0])
+    3.0
+    """
+    return max((probe_q_error, *stage_q_errors))
 
 
 @dataclass(frozen=True)
@@ -242,6 +258,39 @@ class JsonTracer:
         self.close()
 
 
+def read_events(source: Union[str, TextIO]) -> Iterator[tuple[str, dict]]:
+    """Read JSONL written by :class:`JsonTracer` (a path or an open
+    file) back as ``(kind, fields)`` pairs, ``seq``/``schema`` dropped.
+
+    A line that is not valid JSON, has no ``event`` field, or carries a
+    ``schema`` other than :data:`SCHEMA_VERSION` raises
+    :class:`~repro.errors.ReproError` naming the line.
+    """
+    handle = open(source, encoding="utf-8") \
+        if isinstance(source, str) else source
+    name = getattr(handle, "name", "<events>")
+    try:
+        for line_no, raw in enumerate(handle, 1):
+            if not raw.strip():
+                continue
+            where = f"{name}:{line_no}"
+            try:
+                fields = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ReproError(f"{where}: not valid JSON: {exc}")
+            if not isinstance(fields, dict) or "event" not in fields:
+                raise ReproError(f"{where}: no 'event' field")
+            schema = fields.pop("schema", SCHEMA_VERSION)
+            if schema != SCHEMA_VERSION:
+                raise ReproError(f"{where}: schema {schema}; this build "
+                                 f"reads schema {SCHEMA_VERSION}")
+            fields.pop("seq", None)
+            yield fields.pop("event"), fields
+    finally:
+        if isinstance(source, str):
+            handle.close()
+
+
 class TeeTracer:
     """Fan one event stream out to several tracers (e.g. timing + JSONL)."""
 
@@ -359,11 +408,6 @@ class StageProfile:
         """q-error of the stage's output-cardinality estimate."""
         return q_error(self.est_rows, self.actual_rows)
 
-    @property
-    def probes_q_error(self) -> float:
-        """q-error of the stage's probe-count estimate."""
-        return q_error(self.est_probes, self.actual_probes)
-
 
 @dataclass
 class ClauseProfile:
@@ -420,11 +464,18 @@ class ClauseProfile:
         return max(stage.rows_q_error for stage in self.stages.values())
 
     @property
+    def q_error(self) -> Optional[float]:
+        """The clause's :func:`worst_q_error`, None without estimates."""
+        probe_q = self.probe_q_error
+        if probe_q is None:
+            return None
+        return worst_q_error(
+            probe_q, (stage.rows_q_error for stage in self.stages.values()))
+
+    @property
     def misestimated(self) -> bool:
-        """True when any q-error reaches :data:`MISESTIMATE_THRESHOLD`."""
-        worst = max(self.probe_q_error or 0.0,
-                    self.worst_stage_q_error or 0.0)
-        return worst >= MISESTIMATE_THRESHOLD
+        """True when the q-error reaches :data:`MISESTIMATE_THRESHOLD`."""
+        return (self.q_error or 0.0) >= MISESTIMATE_THRESHOLD
 
 
 @dataclass
@@ -503,6 +554,12 @@ class Profile:
             entry["plan_drifts"] = c.plan_drifts
         return entry
 
+    def estimated_clauses(self) -> list[ClauseProfile]:
+        """Clauses with captured estimates, worst first by q-error at
+        the three decimals plan-quality rows carry, then clause text."""
+        return sorted((c for c in self.clause_rows() if c.estimated_calls),
+                      key=lambda c: (-round(c.q_error, 3), c.clause))
+
     def plan_quality(self) -> dict:
         """Estimate-vs-actual summary across all clauses with estimates.
 
@@ -512,30 +569,18 @@ class Profile:
         roll-up the compare.py gate consumes.  Clauses that never ran
         with estimate capture (tracing off) are absent.
         """
-        rows = []
-        for c in self.clause_rows():
-            profile_q = c.probe_q_error
-            if profile_q is None:
-                continue
-            rows.append({
-                "clause": c.clause, "stratum": c.stratum,
-                "calls": c.calls,
-                "est_probes": round(c.est_probes, 3),
-                "probes": c.probes,
-                "q_error": round(profile_q, 3),
-                "worst_stage_q_error": round(c.worst_stage_q_error or 0.0,
-                                             3),
-                "misestimated": c.misestimated,
-                "plan_drifts": c.plan_drifts,
-            })
-        # One miss measure throughout: a clause's q-error is the worst
-        # of its probe-total and per-stage row errors — the same number
-        # the tables render and the misestimate flag thresholds on.
-        rows.sort(key=lambda r: (-max(r["q_error"],
-                                      r["worst_stage_q_error"]),
-                                 r["clause"]))
-        q_errors = sorted(max(r["q_error"], r["worst_stage_q_error"])
-                          for r in rows)
+        clauses = self.estimated_clauses()
+        rows = [{
+            "clause": c.clause, "stratum": c.stratum,
+            "calls": c.calls,
+            "est_probes": round(c.est_probes, 3),
+            "probes": c.probes,
+            "q_error": round(c.probe_q_error, 3),
+            "worst_stage_q_error": round(c.worst_stage_q_error or 0.0, 3),
+            "misestimated": c.misestimated,
+            "plan_drifts": c.plan_drifts,
+        } for c in clauses]
+        q_errors = sorted(round(c.q_error, 3) for c in clauses)
         if q_errors:
             mid = len(q_errors) // 2
             median = q_errors[mid] if len(q_errors) % 2 \
@@ -547,9 +592,7 @@ class Profile:
             "clauses": rows,
             "median_q_error": round(median, 3) if median is not None
             else None,
-            "max_q_error": max(rows[0]["q_error"],
-                               rows[0]["worst_stage_q_error"])
-            if rows else None,
+            "max_q_error": q_errors[-1] if q_errors else None,
             "misestimates": sum(r["misestimated"] for r in rows),
             "misestimate_threshold": MISESTIMATE_THRESHOLD,
             "plan_drifts": sum(c.plan_drifts
@@ -569,16 +612,20 @@ class TimingTracer:
     def __init__(self) -> None:
         self.profile = Profile()
 
+    def _clause(self, fields: dict) -> ClauseProfile:
+        """The clause row an event names, created on first sight."""
+        key = (fields.get("stratum", 0), fields["clause"])
+        row = self.profile.clauses.get(key)
+        if row is None:
+            row = self.profile.clauses[key] = ClauseProfile(
+                fields["clause"], key[0])
+        return row
+
     def emit(self, kind: str, **fields) -> None:
         profile = self.profile
         profile.events += 1
         if kind == EV_CLAUSE_FIRE:
-            key = (fields.get("stratum", 0), fields["clause"])
-            row = profile.clauses.get(key)
-            if row is None:
-                row = ClauseProfile(fields["clause"],
-                                    fields.get("stratum", 0))
-                profile.clauses[key] = row
+            row = self._clause(fields)
             row.calls += 1
             row.wall_s += fields.get("wall_s", 0.0)
             row.probes += fields.get("probes", 0)
@@ -602,30 +649,15 @@ class TimingTracer:
                 # estimated result cardinality.
                 row.est_rows += stages[-1].get("est_rows", 0.0)
         elif kind == EV_PLAN_DRIFT:
-            key = (fields.get("stratum", 0), fields["clause"])
-            row = profile.clauses.get(key)
-            if row is None:
-                row = ClauseProfile(fields["clause"],
-                                    fields.get("stratum", 0))
-                profile.clauses[key] = row
+            row = self._clause(fields)
             row.plan_drifts += 1
         elif kind == EV_PLAN_BUILT:
-            key = (fields.get("stratum", 0), fields["clause"])
-            row = profile.clauses.get(key)
-            if row is None:
-                row = ClauseProfile(fields["clause"],
-                                    fields.get("stratum", 0))
-                profile.clauses[key] = row
+            row = self._clause(fields)
             row.plans_built += 1
             row.plan_mode = fields.get("mode", row.plan_mode)
             row.plan_cost = fields.get("cost", row.plan_cost)
         elif kind == EV_PIPELINE_COMPILED:
-            key = (fields.get("stratum", 0), fields["clause"])
-            row = profile.clauses.get(key)
-            if row is None:
-                row = ClauseProfile(fields["clause"],
-                                    fields.get("stratum", 0))
-                profile.clauses[key] = row
+            row = self._clause(fields)
             row.pipelines_compiled += 1
         elif kind == EV_STRATUM_START:
             index = fields.get("stratum", 0)
@@ -669,10 +701,9 @@ def _ms(seconds: float) -> str:
 def _q_err_cell(row: ClauseProfile) -> str:
     """The q-err column: worst q-error, ``!``-flagged past the
     misestimate threshold, ``-`` when no estimates were captured."""
-    profile_q = row.probe_q_error
-    if profile_q is None:
+    worst = row.q_error
+    if worst is None:
         return "-"
-    worst = max(profile_q, row.worst_stage_q_error or 0.0)
     return f"{worst:.1f}" + ("!" if row.misestimated else "")
 
 

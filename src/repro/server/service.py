@@ -53,8 +53,8 @@ from ..datalog.parser import parse_program
 from ..datalog.planner import check_plan_mode
 from ..datalog.storage import STORAGE_FORMAT, load_database, save_database
 from ..datalog.trace import (MISESTIMATE_THRESHOLD, SCHEMA_VERSION,
-                             ContextTracer, JsonTracer, TeeTracer,
-                             TimingTracer)
+                             ContextTracer, JsonTracer, Profile,
+                             TeeTracer, TimingTracer)
 from ..obs.log import StructuredLogger, check_log_level
 from .protocol import (PROTOCOL_VERSION, REQUEST_TYPES, RequestError,
                        field, positive_number)
@@ -733,7 +733,7 @@ class IdlogService:
                         "worst_clause":
                             plan_quality["clauses"][0]["clause"],
                     }
-                    self._fold_plan_quality(plan_quality)
+                    self._fold_plan_quality(timing.profile)
             if trace_buf is not None:
                 out["trace"] = [json.loads(line) for line
                                 in trace_buf.getvalue().splitlines()]
@@ -755,36 +755,38 @@ class IdlogService:
                                for pred, rows in out["answers"].items()}
         return out
 
-    def _fold_plan_quality(self, plan_quality: dict) -> None:
-        """Fold one run's plan-quality block into the ``plans`` aggregate.
+    def _fold_plan_quality(self, profile: Profile) -> None:
+        """Fold one run's estimate-bearing clause rows into the ``plans``
+        aggregate.
 
-        Bounded: once 4096 distinct clauses have been seen, new clause
-        texts are dropped (existing ones keep accumulating) — a garbage
-        client cannot grow the aggregate without bound.
+        Sums and maxima take the three-decimal values the run's
+        ``plan_quality`` block carries.  Bounded: once 4096 distinct
+        clauses have been seen, new clause texts are dropped (existing
+        ones keep accumulating) — a garbage client cannot grow the
+        aggregate without bound.
         """
         with self._lock:
             self._plan_requests += 1
-            for row in plan_quality["clauses"]:
-                agg = self._plans_agg.get(row["clause"])
+            for c in profile.estimated_clauses():
+                agg = self._plans_agg.get(c.clause)
                 if agg is None:
                     if len(self._plans_agg) >= 4096:
                         continue
-                    agg = self._plans_agg[row["clause"]] = {
-                        "clause": row["clause"],
-                        "stratum": row["stratum"],
+                    agg = self._plans_agg[c.clause] = {
+                        "clause": c.clause,
+                        "stratum": c.stratum,
                         "requests": 0, "calls": 0,
                         "est_probes": 0.0, "probes": 0,
                         "worst_q_error": 0.0,
                         "misestimates": 0, "plan_drifts": 0}
                 agg["requests"] += 1
-                agg["calls"] += row["calls"]
-                agg["est_probes"] += row["est_probes"]
-                agg["probes"] += row["probes"]
-                agg["worst_q_error"] = max(
-                    agg["worst_q_error"], row["q_error"],
-                    row["worst_stage_q_error"])
-                agg["misestimates"] += bool(row["misestimated"])
-                agg["plan_drifts"] += row["plan_drifts"]
+                agg["calls"] += c.calls
+                agg["est_probes"] += round(c.est_probes, 3)
+                agg["probes"] += c.probes
+                agg["worst_q_error"] = max(agg["worst_q_error"],
+                                           round(c.q_error, 3))
+                agg["misestimates"] += c.misestimated
+                agg["plan_drifts"] += c.plan_drifts
 
     def _handle_answers(self, request: dict,
                         context: RequestContext) -> dict:
@@ -929,13 +931,8 @@ class IdlogService:
         path = self.config.metrics_path
         if not path:
             return None
-        if self.config.metrics_format == "json":
-            import json
-            text = json.dumps(self.registry.snapshot(), indent=2) + "\n"
-        else:
-            text = self.registry.to_prometheus()
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(self.registry.render(self.config.metrics_format))
         os.replace(tmp, path)
         return path

@@ -19,8 +19,8 @@ from repro.core.idrelations import (canonical_id_function, make_id_relation,
                                     random_id_function)
 from repro.datalog.database import Database, Relation
 from repro.datalog.seminaive import EvalStats
-from repro.datalog.trace import (EV_ID_CHOICE, JsonTracer, SCHEMA_VERSION,
-                                 use_tracer)
+from repro.datalog.trace import (EV_ID_CHOICE, EV_ID_MATERIALIZED,
+                                 JsonTracer, SCHEMA_VERSION, use_tracer)
 from repro.errors import ReplayError, ReproError
 
 SELECT_ONE = "select_emp(N) :- emp[2](N, D, T), T < 1.\n"
@@ -89,10 +89,10 @@ class TestRecordAndReplay:
 
     def test_recording_does_not_change_the_answer(self):
         engine, db = IdlogEngine(SELECT_ONE), employees()
-        plain = engine.one(db, seed=11).tuples("select_emp")
-        recorded = engine.one(db, seed=11,
-                              record=ChoiceLog()).tuples("select_emp")
-        assert plain == recorded
+        plain = engine.one(db, seed=11)
+        recorded = engine.one(db, seed=11, record=ChoiceLog())
+        assert plain.tuples("select_emp") == recorded.tuples("select_emp")
+        assert plain.stats == recorded.stats
 
     def test_one_log_per_evaluation(self):
         engine, db, log, _ = record_run()
@@ -154,7 +154,10 @@ class TestRecordAndReplay:
         base, group = employees().relation("emp"), frozenset({2})
         drawn = random_id_function(base, group, random.Random(5))
         log = ChoiceLog()
-        log.record_assignment("emp", group, drawn, limit=2)
+        for rec in choice_records("emp", group, drawn, limit=2):
+            log.emit(EV_ID_CHOICE, **rec.as_event_fields())
+        log.emit(EV_ID_MATERIALIZED, pred="emp", group=[2], tid_limit=2)
+        assert log.limit_for("emp", group) == 2
         restored = ChoiceLog.from_jsonable(log.to_jsonable())
         replayed = ReplayIdProvider(restored).materialize(
             "emp", group, base, EvalStats())
@@ -206,8 +209,12 @@ class TestSerialization:
             "block_digest", "block_size", "ordering", "tid_limit"]
 
     def test_trace_file_loads_as_choice_log(self):
-        """A run --trace JSONL doubles as a choice log."""
-        engine, db = IdlogEngine(SELECT_ONE), employees()
+        """A run --trace JSONL doubles as a choice log: the same
+        groupings (the empty ``mgr[]`` one included) and records as the
+        ``record=`` log of the same run."""
+        engine = IdlogEngine(SELECT_ONE + "boss(N) :- mgr[](N, T), T < 1.\n")
+        db = Database({"emp": employees().relation("emp"),
+                       "mgr": Relation(1)})
         buf = io.StringIO()
         tracer = JsonTracer(buf)
         with use_tracer(tracer):
@@ -215,6 +222,11 @@ class TestSerialization:
         tracer.close()
         log = ChoiceLog.load(io.StringIO(buf.getvalue()))
         assert len(log) == 2
+        assert log.records_for("mgr", frozenset()) == {}
+        recorded = ChoiceLog()
+        engine.one(db, seed=3, record=recorded)
+        for part in ("groupings", "choices"):
+            assert log.to_jsonable()[part] == recorded.to_jsonable()[part]
         assert engine.replay(db, log).tuples("select_emp") \
             == result.tuples("select_emp")
 

@@ -19,7 +19,7 @@ from repro.datalog.database import Database, Relation
 from repro.datalog.executor import BatchExecutor
 from repro.datalog.parser import parse_program
 from repro.datalog.planner import ClausePlanner
-from repro.datalog.pool import GLOBAL_POOL
+from repro.datalog.pool import GLOBAL_POOL, ConstantPool
 from repro.datalog.safety import order_body
 from repro.datalog.seminaive import EvalStats, evaluate, prepare_store
 from repro.datalog.terms import Var
@@ -69,8 +69,8 @@ def run_bindings_both(program, order, db, seed=None, overrides=None):
     order."""
     batch_stats, oracle_stats = EvalStats(), EvalStats()
     store = prepare_store(program, db, None, batch_stats)
-    batch = BatchExecutor().execute_bindings(
-        order, store, batch_stats, seed, overrides)
+    batch = list(BatchExecutor().execute_bindings(
+        order, store, batch_stats, seed, overrides))
     store = prepare_store(program, db, None, oracle_stats)
     oracle = list(_solve_literals(order, 0, dict(seed or {}), store,
                                   oracle_stats, overrides or {}))
@@ -216,9 +216,30 @@ class TestBindings:
         bindings = BatchExecutor().execute_bindings(
             order_body(clause, initially_bound=frozenset(seed)), store,
             EvalStats(), seed)
-        assert bindings == []
+        assert list(bindings) == []
         assert len(GLOBAL_POOL) == size
         assert "never-seen-constant" not in GLOBAL_POOL
+
+    def test_bindings_decode_on_demand(self, monkeypatch):
+        """The joins (and their probes) run at call time; each binding
+        is decoded only when the iterator reaches it."""
+        program, clause = single_clause("p(X) :- q(X).")
+        db = Database.from_facts({"q": [("a",), ("b",), ("c",)]})
+        stats = EvalStats()
+        store = prepare_store(program, db, None, stats)
+        decoded = []
+        decode_row = ConstantPool.decode_row
+        monkeypatch.setattr(ConstantPool, "decode_row",
+                            lambda pool, row: decoded.append(row)
+                            or decode_row(pool, row))
+        bindings = BatchExecutor().execute_bindings(
+            order_body(clause), store, stats)
+        probes = stats.probes
+        assert probes > 0 and decoded == []
+        first = next(bindings)
+        assert first[Var("X")] in ("a", "b", "c")
+        assert len(decoded) == 1 and stats.probes == probes
+        assert len(list(bindings)) == 2 and len(decoded) == 3
 
     def test_overrides_at_two_positions(self):
         program, clause = single_clause("p(X, Z) :- e(X, Y), e(Y, Z).")

@@ -299,11 +299,14 @@ class TestMetricsTracer:
         evaluate(parse_program(STRATIFIED), graph_db(), tracer=custom)
         assert custom.registry.counter("custom_probes_total").value > 0
 
-    def test_prometheus_shorthand_matches_registry(self):
+    def test_render_picks_the_exporter(self):
         tracer = MetricsTracer()
         evaluate(parse_program(STRATIFIED), graph_db(), tracer=tracer)
-        assert tracer.to_prometheus() == tracer.registry.to_prometheus()
-        assert tracer.snapshot() == tracer.registry.snapshot()
+        registry = tracer.registry
+        assert registry.render() == registry.render("prom") \
+            == registry.to_prometheus()
+        assert registry.render("json") \
+            == json.dumps(registry.snapshot(), indent=2) + "\n"
 
 
 class TestProgressTracer:
@@ -386,7 +389,7 @@ class TestPlanQualityMetrics:
     def test_families_reach_the_prometheus_exposition(self):
         tracer = MetricsTracer()
         evaluate(parse_program(STRATIFIED), graph_db(), tracer=tracer)
-        text = tracer.to_prometheus()
+        text = tracer.registry.to_prometheus()
         assert "# TYPE idlog_plan_q_error histogram" in text
         assert 'idlog_plan_q_error_bucket{le="1"}' in text
         assert "# TYPE idlog_plan_misestimates_total counter" in text

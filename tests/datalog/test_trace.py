@@ -21,7 +21,7 @@ from repro.datalog import (
     evaluate, format_profile, parse_program, use_tracer)
 from repro.datalog.trace import (CONTEXT_FIELDS, MISESTIMATE_THRESHOLD,
                                  SCHEMA_VERSION, ContextTracer,
-                                 q_error, resolve_tracer)
+                                 q_error, resolve_tracer, worst_q_error)
 
 STRATIFIED = """
     path(X, Y) :- edge(X, Y).
@@ -482,6 +482,23 @@ class TestPlanQuality:
         assert quality["median_q_error"] is None
         assert quality["max_q_error"] is None
         assert quality["misestimates"] == 0
+
+    def test_clause_q_error_is_the_worst_of_probes_and_stages(self):
+        timing = TimingTracer()
+        # Probes est 1 vs 100 (q 50.5); the stage's rows est 98 vs 99.
+        _synthetic_fire(timing, est_rows=98.0, actual_rows=99)
+        row = next(iter(timing.profile.clauses.values()))
+        assert row.q_error == row.probe_q_error == q_error(1.0, 100)
+        # Rows est 1 vs 99 (q 50) with accurate probes: the stage wins.
+        timing = TimingTracer()
+        _synthetic_fire(timing, est_probes=100.0)
+        row = next(iter(timing.profile.clauses.values()))
+        assert row.q_error == row.worst_stage_q_error == q_error(1.0, 99)
+        assert worst_q_error(row.probe_q_error, [row.worst_stage_q_error]) \
+            == row.q_error
+        timing = TimingTracer()
+        _stageless_fire(timing)
+        assert next(iter(timing.profile.clauses.values())).q_error is None
 
     def test_misestimate_flagged_past_threshold(self):
         timing = TimingTracer()

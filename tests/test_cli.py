@@ -799,6 +799,21 @@ class TestPlansCommand:
         assert sum(" :- " in l for l in output.splitlines()) == 1
         assert "more clause(s); --limit raises the cut" in output
 
+    @pytest.mark.parametrize("bad, message", [
+        ("not json", "not valid JSON"),
+        ('{"round": 1}', "no 'event' field"),
+        ('{"event": "round", "schema": 99}', "schema 99"),
+    ])
+    def test_bad_line_is_named(self, traced, tmp_path, capsys, bad,
+                               message):
+        lines = open(traced).read().splitlines()
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines[:2] + [bad] + lines[2:]) + "\n")
+        code, _ = run_cli("plans", str(broken))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{broken}:3: " in err and message in err
+
     def test_trace_without_estimates(self, traced, tmp_path):
         stripped = tmp_path / "stageless.jsonl"
         records = [json.loads(line) for line in open(traced)]

@@ -118,6 +118,9 @@ class ChoiceEngine:
         self._final_program = Program(final_clauses,
                                       name=f"{translated.name}_final")
         self._final_engine = DatalogEngine(self._final_program)
+        #: Span-event receiver of both steps' evaluations (None: the
+        #: ambient tracer), as on the other engines.
+        self.tracer = None
 
     @property
     def program(self) -> Program:
@@ -128,7 +131,8 @@ class ChoiceEngine:
                                                      Relation]:
         """Step 1: the choice predicates' relations in the perfect model of
         ``P_c``."""
-        model, _ = evaluate(self.compiled.translated, db)
+        model, _ = evaluate(self.compiled.translated, db,
+                            tracer=self.tracer)
         return {occ: model.relation(occ.pred)
                 for occ in self.compiled.occurrences}
 
@@ -140,6 +144,7 @@ class ChoiceEngine:
             arity = self._arity_of_choice(pred)
             relation = Relation(arity, tuples=rows)
             extended.add_relation(pred, relation, replace=True)
+        self._final_engine.tracer = self.tracer
         return self._final_engine.run(extended)
 
     def _arity_of_choice(self, pred: str) -> int:

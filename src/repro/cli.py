@@ -13,6 +13,7 @@ The subcommands::
     repro-idlog eval [--quick] [--out FILE]  # scenario suite + stats checks
     repro-idlog serve [--port P] [--unix PATH] ...   # long-lived server
     repro-idlog connect [PROGRAM] [-f FACTS] ...     # query a server
+    repro-idlog top [HOST:PORT]      # live view of a running server
     repro-idlog plans [TRACE]        # worst-estimated clauses by q-error
 
 ``PROGRAM`` is a file of clauses in the surface syntax; ``FACTS`` is a
@@ -21,48 +22,28 @@ any — declare extra u-domain elements.  The engine is picked from the
 program's constructs: choice operators → DATALOG^C, ID-atoms → IDLOG,
 otherwise plain Datalog.
 
-Modes for ``run``:
+Modes for ``run``: ``run`` (one model under the canonical assignment),
+``one`` (one arbitrary answer; ``--seed`` for reproducibility) and
+``answers`` (the exact answer set; ``--max-branches`` guards blowup).
+``run`` and ``profile`` are adapters over :func:`repro.core.run_program`,
+the run entry point the server's ``run`` request shares: they parse
+flags, pick the engine and format the outcome.
 
-* ``run``      one model under the canonical (deterministic) assignment;
-* ``one``      one arbitrary answer (``--seed`` for reproducibility);
-* ``answers``  the exact answer set (``--max-branches`` guards blowup).
+Observability (``docs/OBSERVABILITY.md``): ``run --profile`` appends the
+per-clause EXPLAIN ANALYZE table, ``--trace FILE`` streams span events
+as JSONL, ``--metrics FILE`` exports aggregated metrics and
+``--progress`` prints heartbeats to stderr; trace and metrics files are
+flushed in a ``finally:``, so a failed run still leaves them valid.
+``run --record FILE`` captures every ID-function decision plus the
+answers as a JSONL choice log and ``--replay FILE`` reproduces it or
+fails with a typed diagnostic; ``diverge`` names the first differing ID
+choice of two recorded runs and the answer delta it caused; ``plans``
+ranks clauses by q-error from a trace or a server; ``stats`` reports
+memory and cardinalities; ``why`` prints a derivation tree.
 
-Observability (see ``docs/OBSERVABILITY.md``): ``run --profile`` prints
-the per-clause EXPLAIN ANALYZE table after the results, ``run --trace
-FILE`` streams every span event as JSONL (closed in a ``finally:`` so a
-failed evaluation still leaves valid partial JSONL on disk), ``run
---metrics FILE`` exports aggregated metrics (Prometheus text or JSON;
-flushed in a ``finally:`` so a failed run still leaves a valid file),
-``run --progress`` prints stratum/round heartbeats to stderr, and
-``profile`` evaluates just to print the table.  ``plans`` reads a
-recorded trace (or queries a running server) and ranks clauses by
-q-error — how far the planner's cardinality estimates missed the
-executed actuals.
-
-Nondeterminism observability: ``run --record FILE`` captures every
-ID-function decision (plus the answers) as a JSONL choice log, ``run
---replay FILE`` re-applies a recorded log — reproducing the recorded
-model exactly or failing with a drift diagnostic — and ``diverge``
-compares two recorded runs, naming the first differing ID choice and
-the answer delta it caused.  ``stats`` reports
-memory/cardinality introspection (rows, index buckets, approximate
-bytes) for a facts file, an evaluation result, or a saved database
-directory; ``why`` prints the derivation tree of one ground fact.
-
-Server mode (see ``docs/SERVER.md``): ``serve`` starts the long-lived
-IDLOG server — persistent sessions, prepared programs, concurrent
-clients over newline-delimited JSON, ``GET /metrics`` + ``/healthz`` on
-the same listener — and ``connect`` is the matching client: with no
-PROGRAM it pings the server and prints its stats; with a PROGRAM it
-opens a session, asserts the ``-f`` facts, runs the program remotely,
-and prints the answers exactly like ``run``.
-
-Scenario verification (see ``docs/SCENARIOS.md``): ``eval`` runs the
-built-in scenario suite — exact answer checks for deterministic queries,
-chi-square uniformity and choice-log stability for sampling ones —
-under both plan modes and against the reference oracle, and writes a
-schema-stamped JSON :class:`~repro.eval.EvalReport` (flushed in a
-``finally:`` so a failed run still leaves a valid partial report).
+``serve`` starts the long-lived server and ``connect`` is its client
+(``docs/SERVER.md``); ``eval`` runs the scenario suite and writes a
+schema-stamped JSON report (``docs/SCENARIOS.md``).
 """
 
 from __future__ import annotations
@@ -73,15 +54,14 @@ import sys
 from typing import Optional, Sequence
 
 from .choice import ChoiceEngine
-from .core import IdlogEngine
+from .core import ChoiceLog, IdlogEngine, pick_queries, run_program
 from .core.dbp import strip_database_program
 from .datalog import Database, parse_program
 from .datalog.explain import explain_program
 from .datalog.safety import check_program
 from .datalog.stratify import stratify
 from .datalog.metrics import MetricsTracer, ProgressTracer
-from .datalog.trace import (JsonTracer, TeeTracer, TimingTracer,
-                            format_profile, use_tracer)
+from .datalog.trace import JsonTracer, TimingTracer, format_profile, tee
 from .errors import ReproError
 
 
@@ -176,46 +156,29 @@ def _cmd_explain(args, out) -> int:
     return 0
 
 
-def _pick_queries(program, requested: Optional[str]) -> list[str]:
-    if requested:
-        if requested not in program.head_predicates:
-            raise ReproError(
-                f"{requested} is not an output predicate of the program")
-        return [requested]
-    return sorted(program.head_predicates)
+def _make_engine(program, plan: str):
+    """The engine a program's constructs call for."""
+    if program.has_choice():
+        return ChoiceEngine(program)
+    return IdlogEngine(program, plan=plan)
 
 
-def _make_tracers(args):
-    """(tracer or None, TimingTracer?, JsonTracer?, MetricsTracer?).
-
-    The tracer is installed *ambiently* (:func:`use_tracer`) so every
-    evaluation the command triggers is traced — including the DATALOG^C
-    front end's internal IDLOG evaluations, which the CLI does not
-    construct directly.  ``--profile``, ``--trace``, ``--metrics`` and
-    ``--progress`` each contribute one tracer; several at once fan out
-    through a :class:`TeeTracer`.
-    """
-    timing = TimingTracer() if getattr(args, "profile", False) else None
+def _make_sinks(args):
+    """(sinks, JsonTracer?, MetricsTracer?): one tracer per ``--trace``,
+    ``--metrics`` and ``--progress`` flag given."""
     json_tracer = JsonTracer(args.trace) \
         if getattr(args, "trace", None) else None
     metrics = MetricsTracer() if getattr(args, "metrics", None) else None
     progress = ProgressTracer() if getattr(args, "progress", False) \
         else None
-    tracers = [t for t in (timing, json_tracer, metrics, progress)
-               if t is not None]
-    if not tracers:
-        return None, None, None, None
-    tracer = tracers[0] if len(tracers) == 1 else TeeTracer(tracers)
-    return tracer, timing, json_tracer, metrics
+    sinks = [t for t in (json_tracer, metrics, progress) if t is not None]
+    return sinks, json_tracer, metrics
 
 
 def _check_record_replay(args, program) -> None:
-    """Validate the ``run --record/--replay`` flag combination early.
-
-    Runs before any tracer file is opened, so a usage error leaves no
-    half-written artifacts behind.
-    """
-    if not (getattr(args, "record", None) or getattr(args, "replay", None)):
+    """Validate ``run --record/--replay`` before any tracer file is
+    opened, so a usage error leaves no half-written artifacts behind."""
+    if not (args.record or args.replay):
         return
     if args.record and args.replay:
         raise ReproError("--record and --replay are mutually exclusive")
@@ -230,114 +193,67 @@ def _check_record_replay(args, program) -> None:
             "translation)")
 
 
-def _verify_replay(result, replay_log, out) -> None:
-    """Check a replayed result against the log's recorded answers."""
-    checked = 0
-    for pred in sorted(replay_log.answers):
-        found = frozenset(result.tuples(pred))
-        expected = replay_log.answer_tuples(pred)
-        if found != expected:
-            missing = sorted(map(str, expected - found))[:4]
-            extra = sorted(map(str, found - expected))[:4]
-            raise ReproError(
-                f"replayed answers for {pred} differ from the recorded "
-                f"run: {len(expected - found)} missing "
-                f"(e.g. {', '.join(missing) or '-'}), "
-                f"{len(found - expected)} extra "
-                f"(e.g. {', '.join(extra) or '-'}) — the program or "
-                "database changed since the log was recorded")
-        checked += 1
-    verdict = (f"answers match the recorded run "
-               f"({checked} predicate(s) verified)"
-               if checked else "log carries no answer snapshot to verify")
-    print(f"(replay: {len(replay_log)} ID choice(s) re-applied; "
-          f"{verdict})", file=out)
-
-
 def _cmd_run(args, out) -> int:
     program = _load_program(args.program)
     db = _load_facts(args.facts)
-    queries = _pick_queries(program, args.query)
+    queries = pick_queries(program, [args.query] if args.query else None)
     _check_record_replay(args, program)
+    replay_log = ChoiceLog.load(args.replay) if args.replay else None
+    sinks, json_tracer, metrics = _make_sinks(args)
+    engine = _make_engine(program, args.plan)
+    if program.has_choice() and args.plan != "greedy":
+        print("(note: --plan applies to Datalog/IDLOG "
+              "evaluation; the choice front end uses its own pipeline)",
+              file=out)
 
-    record_log = None
-    replay_log = None
-    if args.record:
-        from .core.choicelog import ChoiceLog
-        record_log = ChoiceLog(meta={
-            "program": args.program, "facts": args.facts,
-            "mode": args.mode, "seed": args.seed})
-    elif args.replay:
-        from .core.choicelog import ChoiceLog
-        replay_log = ChoiceLog.load(args.replay)
-
-    tracer, timing, json_tracer, metrics = _make_tracers(args)
-
-    if program.has_choice():
-        engine = ChoiceEngine(program)
-        if args.plan != "greedy":
-            print("(note: --plan applies to Datalog/IDLOG "
-                  "evaluation; the choice front end uses its own pipeline)",
-                  file=out)
-    else:
-        engine = IdlogEngine(program, plan=args.plan)
-
-    scope = use_tracer(tracer) if tracer is not None \
-        else contextlib.nullcontext()
     # The finally: guarantees the JSONL trace and the metrics export are
     # flushed even when the evaluation dies mid-stratum — a partial
     # artifact of a failed run is exactly when you need the file valid.
     try:
-        with scope:
-            if args.mode == "answers":
-                for pred in queries:
-                    answers = engine.answers(db, pred, args.max_branches)
-                    print(f"{pred}: {len(answers)} possible answer(s)",
+        if args.mode == "answers":
+            timing = TimingTracer() if args.profile else None
+            engine.tracer = tee(timing, *sinks)
+            for pred in queries:
+                answers = engine.answers(db, pred, args.max_branches)
+                print(f"{pred}: {len(answers)} possible answer(s)",
+                      file=out)
+                for i, answer in enumerate(
+                        sorted(answers, key=lambda a: sorted(map(repr, a)))):
+                    print(f" answer {i + 1} ({len(answer)} tuple(s)):",
                           file=out)
-                    for i, answer in enumerate(
-                            sorted(answers,
-                                   key=lambda a: sorted(map(repr, a)))):
-                        print(f" answer {i + 1} ({len(answer)} tuple(s)):",
-                              file=out)
-                        _print_relation(answer, out)
-                _finish_tracing(timing, json_tracer, out)
-                return 0
+                    _print_relation(answer, out)
+            _finish_tracing(timing.profile if timing else None, json_tracer,
+                            out)
+            return 0
 
-            # record_log is only ever set for IdlogEngine runs —
-            # _check_record_replay rejects choice programs up front, and
-            # ChoiceEngine takes no record keyword.
-            kwargs = {"record": record_log} if record_log is not None else {}
-            if replay_log is not None:
-                result = engine.replay(db, replay_log)
-            elif args.mode == "one":
-                result = engine.one(db, seed=args.seed, **kwargs)
-            else:
-                result = engine.run(db, **kwargs)
+        record = {"program": args.program, "facts": args.facts,
+                  "mode": args.mode, "seed": args.seed} \
+            if args.record else None
+        outcome = run_program(engine, db, args.mode, args.seed, queries,
+                              record=record, replay=replay_log,
+                              profile=args.profile, sinks=sinks)
         for pred in queries:
-            rows = result.tuples(pred)
+            rows = outcome.result.tuples(pred)
             print(f"{pred}: {len(rows)} tuple(s)", file=out)
             _print_relation(rows, out)
-        if record_log is not None:
-            record_log.set_answers(
-                {pred: result.tuples(pred) for pred in queries})
-            record_log.save(args.record)
-            print(f"(recorded {len(record_log)} ID choice(s) and "
+        if args.record:
+            outcome.log.save(args.record)
+            print(f"(recorded {len(outcome.log)} ID choice(s) and "
                   f"{len(queries)} answer predicate(s) to {args.record})",
                   file=out)
         if replay_log is not None:
-            _verify_replay(result, replay_log, out)
+            checked = len(replay_log.answers)
+            verdict = (f"answers match the recorded run "
+                       f"({checked} predicate(s) verified)"
+                       if checked else
+                       "log carries no answer snapshot to verify")
+            print(f"(replay: {len(replay_log)} ID choice(s) re-applied; "
+                  f"{verdict})", file=out)
         if args.stats:
-            stats = result.stats
-            print(f"stats: derived={stats.total_derived} "
-                  f"firings={stats.firings} probes={stats.probes} "
-                  f"iterations={stats.iterations} "
-                  f"id_tuples={stats.id_tuples} "
-                  f"plans_built={stats.plans_built} "
-                  f"plans_reused={stats.plans_reused} "
-                  f"pipelines_compiled={stats.pipelines_compiled} "
-                  f"pipelines_reused={stats.pipelines_reused}",
-                  file=out)
-        _finish_tracing(timing, json_tracer, out)
+            print("stats: " + " ".join(
+                f"{key}={value}" for key, value
+                in outcome.result.stats.counters().items()), file=out)
+        _finish_tracing(outcome.profile, json_tracer, out)
         return 0
     finally:
         if json_tracer is not None:
@@ -348,9 +264,9 @@ def _cmd_run(args, out) -> int:
         _write_metrics(metrics, args, out)
 
 
-def _finish_tracing(timing, json_tracer, out) -> None:
-    if timing is not None:
-        print(format_profile(timing.profile), file=out)
+def _finish_tracing(profile, json_tracer, out) -> None:
+    if profile is not None:
+        print(format_profile(profile), file=out)
     if json_tracer is not None:
         events = json_tracer.events_written
         json_tracer.close()
@@ -375,22 +291,14 @@ def _cmd_profile(args, out) -> int:
     """Evaluate once and print the EXPLAIN ANALYZE table."""
     program = _load_program(args.program)
     db = _load_facts(args.facts)
-    args.profile = True
-    tracer, timing, json_tracer, _ = _make_tracers(args)
-
-    if program.has_choice():
-        engine = ChoiceEngine(program)
-    else:
-        engine = IdlogEngine(program, plan=args.plan)
-
-    with use_tracer(tracer):
-        if args.seed is not None:
-            result = engine.one(db, seed=args.seed)
-        else:
-            result = engine.run(db)
+    sinks, json_tracer, _ = _make_sinks(args)
+    outcome = run_program(_make_engine(program, args.plan), db,
+                          "run" if args.seed is None else "one", args.seed,
+                          profile=True, sinks=sinks)
     for pred in sorted(program.head_predicates):
-        print(f"{pred}: {len(result.tuples(pred))} tuple(s)", file=out)
-    _finish_tracing(timing, json_tracer, out)
+        print(f"{pred}: {len(outcome.result.tuples(pred))} tuple(s)",
+              file=out)
+    _finish_tracing(outcome.profile, json_tracer, out)
     return 0
 
 
@@ -415,54 +323,36 @@ def _cmd_stats(args, out) -> int:
                 "combined with a program or facts file")
         from .datalog.storage import directory_stats
         report = directory_stats(args.dir)
-        if args.json:
-            print(json_module.dumps(report, indent=2, sort_keys=True),
-                  file=out)
-        else:
-            print(f"database directory {args.dir}:", file=out)
-            _print_stats_report(report, out)
-        return 0
-
-    if args.program is None:
+        title = f"database directory {args.dir}:"
+    elif args.program is None:
         if args.facts is None:
             raise ReproError(
                 "stats needs a PROGRAM, a facts file (-f) or a saved "
                 "database directory (--dir)")
         report = _load_facts(args.facts).stats()
-        if args.json:
-            print(json_module.dumps(report, indent=2, sort_keys=True),
-                  file=out)
-        else:
-            print(f"facts file {args.facts}:", file=out)
-            _print_stats_report(report, out)
-        return 0
-
-    program = _load_program(args.program)
-    db = _load_facts(args.facts)
-    if program.has_choice():
-        engine = ChoiceEngine(program)
+        title = f"facts file {args.facts}:"
     else:
-        engine = IdlogEngine(program, plan=args.plan)
-    result = engine.run(db)
-    report = result.database.stats()
-    id_stats = [r.memory_stats() for r in result.id_relations.values()]
-    report["id_relations"] = len(id_stats)
-    report["id_rows"] = sum(s["rows"] for s in id_stats)
-    report["id_approx_bytes"] = sum(s["approx_bytes"] for s in id_stats)
-    stats = result.stats
-    report["counters"] = {
-        "derived": stats.total_derived, "firings": stats.firings,
-        "probes": stats.probes, "iterations": stats.iterations,
-        "id_tuples": stats.id_tuples,
-    }
+        program = _load_program(args.program)
+        result = _make_engine(program, args.plan).run(
+            _load_facts(args.facts))
+        report = result.database.stats()
+        id_stats = [r.memory_stats() for r in result.id_relations.values()]
+        report["id_relations"] = len(id_stats)
+        report["id_rows"] = sum(s["rows"] for s in id_stats)
+        report["id_approx_bytes"] = sum(s["approx_bytes"] for s in id_stats)
+        stats = result.stats.counters()
+        report["counters"] = {key: stats[key] for key in (
+            "derived", "firings", "probes", "iterations", "id_tuples")}
+        title = f"evaluation of {args.program}:"
     if args.json:
         print(json_module.dumps(report, indent=2, sort_keys=True), file=out)
         return 0
-    print(f"evaluation of {args.program}:", file=out)
-    counters = report.pop("counters")
+    print(title, file=out)
+    counters = report.pop("counters", None)
     _print_stats_report(report, out)
-    print("counters: " + " ".join(
-        f"{key}={counters[key]}" for key in sorted(counters)), file=out)
+    if counters is not None:
+        print("counters: " + " ".join(
+            f"{key}={counters[key]}" for key in sorted(counters)), file=out)
     return 0
 
 
@@ -488,12 +378,10 @@ def _cmd_why(args, out) -> int:
         raise ReproError(f"goal must be ground: {args.goal!r}")
     row = tuple(term.value for term in goal.args)
 
-    db = _load_facts(args.facts)
-    engine = IdlogEngine(program, plan=args.plan)
-    if args.seed is not None:
-        result = engine.one(db, seed=args.seed)
-    else:
-        result = engine.run(db)
+    result = run_program(IdlogEngine(program, plan=args.plan),
+                         _load_facts(args.facts),
+                         "run" if args.seed is None else "one",
+                         args.seed).result
     explainer = Explainer(program, result.database, result.id_relations)
     derivation = explainer.explain(goal.pred, row)
     print(format_tree(derivation), file=out)
@@ -578,16 +466,24 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
+def _open_client(unix, address: str, timeout: float, what: str):
+    """A server client on the ``unix`` socket, else on the TCP address
+    ``HOST:PORT`` (``what`` names it in the error for a malformed one)."""
+    from .server import ServerClient
+    if unix:
+        return ServerClient.connect_unix(unix, timeout=timeout)
+    host, _, port = address.rpartition(":")
+    if not host or not port.isdigit():
+        raise ReproError(f"{what} must look like HOST:PORT, got "
+                         f"{address!r}")
+    return ServerClient.connect_tcp(host, int(port), timeout=timeout)
+
+
 def _cmd_connect(args, out) -> int:
     """Query a running server (``repro-idlog connect``)."""
-    from .server import ServerClient
     timeout = args.timeout if args.timeout is not None else 30.0
-    if args.unix:
-        client = ServerClient.connect_unix(args.unix, timeout=timeout)
-    else:
-        client = ServerClient.connect_tcp(args.host, args.port,
-                                          timeout=timeout)
-    with client:
+    with _open_client(args.unix, f"{args.host}:{args.port}", timeout,
+                      "--host/--port") as client:
         if args.program is None:
             pong = client.call("ping")
             report = client.call("server_stats")
@@ -659,24 +555,12 @@ def _fmt_q_err(plan_quality) -> str:
 def _cmd_top(args, out) -> int:
     """Live view of a running server (``repro-idlog top``)."""
     import time
-    from .server import ServerClient
-
-    def open_client():
-        if args.unix:
-            return ServerClient.connect_unix(args.unix,
-                                             timeout=args.timeout)
-        host, _, port = args.target.rpartition(":")
-        if not host or not port.isdigit():
-            raise ReproError("top target must look like HOST:PORT, got "
-                             f"{args.target!r}")
-        return ServerClient.connect_tcp(host, int(port),
-                                        timeout=args.timeout)
-
     refreshed = 0
     while True:
         # One connection per refresh: a restarted server shows up again
         # on the next tick instead of wedging the loop.
-        with open_client() as client:
+        with _open_client(args.unix, args.target, args.timeout,
+                          "top target") as client:
             stats = client.call("server_stats")
             recent = client.call("recent", limit=args.rows)
             slow = client.call("slowlog")
@@ -751,17 +635,8 @@ def _plans_from_trace(args, out) -> int:
 
 def _plans_from_server(args, out) -> int:
     """Query a running server's cross-request plan-quality aggregate."""
-    from .server import ServerClient
-    if args.unix:
-        client = ServerClient.connect_unix(args.unix, timeout=args.timeout)
-    else:
-        host, _, port = args.server.rpartition(":")
-        if not host or not port.isdigit():
-            raise ReproError("--server must look like HOST:PORT, got "
-                             f"{args.server!r}")
-        client = ServerClient.connect_tcp(host, int(port),
-                                          timeout=args.timeout)
-    with client:
+    with _open_client(args.unix, args.server, args.timeout,
+                      "--server") as client:
         report = client.call("plans", limit=args.limit)
     target = args.unix or args.server
     print(f"plan quality @ {target}: "
@@ -807,7 +682,7 @@ def _cmd_plans(args, out) -> int:
 def _cmd_diverge(args, out) -> int:
     """Diagnose where two recorded runs parted ways."""
     import os
-    from .core.choicelog import ChoiceLog, diverge, format_divergence
+    from .core.choicelog import diverge, format_divergence
     log_a = ChoiceLog.load(args.run_a)
     log_b = ChoiceLog.load(args.run_b)
     report = diverge(log_a, log_b)
@@ -883,8 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "answers) as a JSONL choice log to FILE")
     run.add_argument("--replay", metavar="FILE", default=None,
                      help="replay a recorded choice log, reproducing the "
-                          "recorded run exactly or failing with a drift "
-                          "diagnostic")
+                          "recorded run and answers exactly or failing "
+                          "with a typed diagnostic")
 
     profile = sub.add_parser(
         "profile",

@@ -8,6 +8,8 @@ Public surface:
   exact answer-set enumeration.
 * :class:`IdlogQuery` — the non-deterministic query object of one output
   predicate.
+* :func:`run_program` — one run with its record/replay and observability
+  artifacts, the entry point the CLI and the server share.
 * ID-relation machinery (:mod:`repro.core.idrelations`) and assignment
   strategies (:mod:`repro.core.assignment`).
 """
@@ -29,6 +31,7 @@ from .models import (IdlogInterpretation, check_interpretation, is_model,
 from .program import IdlogProgram, compute_tid_limits
 from .query import (Answer, IdlogQuery, answers_equal, permute_answer,
                     permute_database)
+from .run import RUN_MODES, RunOutcome, pick_queries, run_program
 
 __all__ = [
     "UDOM_PREDICATE", "database_program", "strip_database_program",
@@ -46,4 +49,5 @@ __all__ = [
     "IdlogProgram", "compute_tid_limits",
     "Answer", "IdlogQuery", "answers_equal", "permute_answer",
     "permute_database",
+    "RUN_MODES", "RunOutcome", "pick_queries", "run_program",
 ]

@@ -11,8 +11,10 @@ captured.  This module is the nondeterminism audit trail:
 * :class:`ChoiceLog` — the ordered sequence of all decisions of one
   evaluation, plus (optionally) the answer relations the run produced.
   It is a tracer: :meth:`ChoiceLog.emit` folds the ``id_choice`` and
-  ``id_materialized`` span events, and builds every record — live,
-  in :meth:`ChoiceLog.from_jsonable` and in :meth:`ChoiceLog.load`.
+  ``id_materialized`` span events, and the same fold builds every
+  record — live, in :meth:`ChoiceLog.from_jsonable` and in
+  :meth:`ChoiceLog.load`.  Entries read from outside are checked first:
+  a malformed one raises :class:`~repro.errors.InputError` naming it.
   Its JSONL ``id_choice`` lines are *exactly* the events a
   :class:`~repro.datalog.trace.JsonTracer` writes, so a ``--trace``
   file of an IDLOG run loads as the same choice log.
@@ -24,9 +26,10 @@ captured.  This module is the nondeterminism audit trail:
 Recording is a traced run: :class:`~repro.core.engine.IdlogEngine`
 ``run(record=...)`` / ``one(record=...)`` tee the log onto the
 evaluation's tracer.  Replay is wired into
-:meth:`~repro.core.engine.IdlogEngine.replay`; the CLI surfaces both as
-``repro-idlog run --record/--replay`` and the differ as
-``repro-idlog diverge``.
+:meth:`~repro.core.engine.IdlogEngine.replay`.
+:func:`~repro.core.run.run_program` drives both for the CLI
+(``repro-idlog run --record/--replay``) and the server, and
+``repro-idlog diverge`` surfaces the differ.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
 from ..datalog.trace import (EV_ID_CHOICE, EV_ID_MATERIALIZED,
-                             SCHEMA_VERSION, read_events)
-from ..errors import ReproError
+                             SCHEMA_VERSION, clip, read_events)
+from ..errors import InputError, ReproError
 from .idrelations import Grouping, IdFunction
 
 
@@ -119,8 +122,67 @@ def choice_records(pred: str, group: Grouping, id_function: IdFunction,
                                     key=lambda item: repr(item[0]))]
 
 
-def _tupled_answers(answers: Mapping) -> dict[str, tuple[tuple, ...]]:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_row(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(cell, str) or _is_int(cell) for cell in value)
+
+
+def _is_rows(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_row, value))
+
+
+#: Field -> (check, what it must be) of a choice-log entry read from
+#: JSON.  ``tid_limit`` may be absent: it reads as None.
+_FIELD_CHECKS = {
+    "pred": (lambda v: isinstance(v, str), "a string"),
+    "group": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+              "a list of integers"),
+    "tid_limit": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "block": (_is_row, "a list of strings/integers"),
+    "block_digest": (lambda v: isinstance(v, str), "a string"),
+    "block_size": (_is_int, "an integer"),
+    "ordering": (_is_rows, "a list of rows"),
+}
+
+
+def _checked(kind: str, entry, where: str) -> Mapping:
+    """``entry`` if it is a well-formed ``kind`` record, else
+    :class:`~repro.errors.InputError` naming it as ``where``."""
+    if not isinstance(entry, Mapping):
+        raise InputError(f"choice log {where}: expected an object, got "
+                         f"{type(entry).__name__}")
+    names = _FIELD_CHECKS if kind == EV_ID_CHOICE \
+        else ("pred", "group", "tid_limit")
+    for name in names:
+        check, wanted = _FIELD_CHECKS[name]
+        if not check(entry.get(name)):
+            got = f"{entry[name]!r:.60}" if name in entry else "nothing"
+            raise InputError(f"choice log {where}: {kind} field {name!r} "
+                             f"must be {wanted}, got {got}")
+    return entry
+
+
+def _mapping(value, where: str) -> Mapping:
+    """A JSON object field (absent reads as empty)."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise InputError(f"choice log {where} must be an object, got "
+                         f"{type(value).__name__}")
+    return value
+
+
+def _tupled_answers(answers) -> dict[str, tuple[tuple, ...]]:
     """JSON answer relations back to the tuples the engine compares."""
+    answers = _mapping(answers, "answers")
+    for pred, rows in answers.items():
+        if not isinstance(pred, str) or not _is_rows(rows):
+            raise InputError(f"choice log answers[{pred!r}] must be a "
+                             "list of rows of strings/integers")
     return {pred: tuple(map(tuple, rows)) for pred, rows in answers.items()}
 
 
@@ -154,9 +216,12 @@ class ChoiceLog:
         registers its ``(pred, group)`` pair and tid limit, so a pair
         materialized over an empty relation is kept too.  Other fields
         and kinds are ignored.  A block the log already holds raises
-        :class:`~repro.errors.ReproError`: one log records one
+        :class:`~repro.errors.InputError`: one log records one
         evaluation.
         """
+        self._fold(kind, fields)
+
+    def _fold(self, kind: str, fields: Mapping) -> None:
         if kind not in (EV_ID_CHOICE, EV_ID_MATERIALIZED):
             return
         group = tuple(fields["group"])
@@ -172,7 +237,7 @@ class ChoiceLog:
                 ordering=tuple(map(tuple, fields["ordering"])),
                 tid_limit=fields.get("tid_limit"))
             if record.block in blocks:
-                raise ReproError(
+                raise InputError(
                     f"choice log already holds a decision for "
                     f"{record.describe()}; one log records one evaluation")
             blocks[record.block] = record
@@ -191,10 +256,6 @@ class ChoiceLog:
 
     def __iter__(self) -> Iterator[ChoiceRecord]:
         return iter(self.records)
-
-    def groupings(self) -> list[tuple[str, tuple[int, ...]]]:
-        """The recorded ``(pred, group)`` pairs, in recording order."""
-        return list(self._groups)
 
     def records_for(self, pred: str, group: Grouping,
                     ) -> Optional[dict[tuple, ChoiceRecord]]:
@@ -256,19 +317,26 @@ class ChoiceLog:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "ChoiceLog":
-        """Inverse of :meth:`to_jsonable`."""
+        """Inverse of :meth:`to_jsonable`; a malformed entry raises
+        :class:`~repro.errors.InputError` naming it."""
         schema = data.get("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise ReproError(
                 f"choice log has schema {schema}; this build reads "
                 f"schema {SCHEMA_VERSION}")
-        log = cls(meta=data.get("meta"))
-        for entry in data.get("groupings", ()):
-            log.emit(EV_ID_MATERIALIZED, **entry)
-        for fields in data.get("choices", ()):
-            log.emit(EV_ID_CHOICE, **fields)
-        log.answers = _tupled_answers(data.get("answers", {}))
+        log = cls(meta=_mapping(data.get("meta"), "meta"))
+        for name, kind in (("groupings", EV_ID_MATERIALIZED),
+                           ("choices", EV_ID_CHOICE)):
+            log._fold_all(kind, data.get(name, ()), name)
+        log.answers = _tupled_answers(data.get("answers"))
         return log
+
+    def _fold_all(self, kind: str, entries, where: str) -> None:
+        if not isinstance(entries, (list, tuple)):
+            raise InputError(f"choice log {where} must be a list, got "
+                             f"{type(entries).__name__}")
+        for index, entry in enumerate(entries):
+            self._fold(kind, _checked(kind, entry, f"{where}[{index}]"))
 
     def save(self, sink: Union[str, TextIO]) -> None:
         """Write the log as JSONL (header, ``id_choice`` lines, answers).
@@ -301,21 +369,25 @@ class ChoiceLog:
         """Read a log from JSONL — a saved log *or* any ``--trace`` file.
 
         The ``choice_log`` header and the ``answers`` line are read
-        here; every other line goes to :meth:`emit`, which keeps the
-        ``id_choice`` / ``id_materialized`` events and skips the rest
-        (clause firings, rounds, ...).  That is what lets a full JSONL
-        trace double as a choice log, empty groupings included.
+        here; the ``id_choice`` / ``id_materialized`` events are folded
+        like live ones and every other line (clause firings, rounds,
+        ...) is skipped.  That is what lets a full JSONL trace double as
+        a choice log, empty groupings included.  A malformed entry
+        raises :class:`~repro.errors.InputError` naming its event number.
         """
         log = cls()
-        for kind, fields in read_events(source):
+        for index, (kind, fields) in enumerate(read_events(source), 1):
+            where = f"event {index}"
             if kind == "choice_log":
-                log.meta = dict(fields.get("meta") or {})
-                for entry in fields.get("groupings", ()):
-                    log.emit(EV_ID_MATERIALIZED, **entry)
+                log.meta = dict(_mapping(fields.get("meta"),
+                                         f"{where} meta"))
+                log._fold_all(EV_ID_MATERIALIZED,
+                              fields.get("groupings", ()),
+                              f"{where} groupings")
             elif kind == "answers":
-                log.answers = _tupled_answers(fields.get("answers", {}))
-            else:
-                log.emit(kind, **fields)
+                log.answers = _tupled_answers(fields.get("answers"))
+            elif kind in (EV_ID_CHOICE, EV_ID_MATERIALIZED):
+                log._fold(kind, _checked(kind, fields, where))
         if not log._groups:
             raise ReproError(
                 "no id_choice lines found; not a choice log (or a "
@@ -422,12 +494,6 @@ def diverge(a: ChoiceLog, b: ChoiceLog) -> DivergenceReport:
                             choices_compared=len(a_keys | set(b_index)))
 
 
-def _clip(text: str, width: int) -> str:
-    if len(text) <= width:
-        return text
-    return text[:width - 1] + "…"
-
-
 def _ordering_cell(record: Optional[ChoiceRecord]) -> str:
     if record is None:
         return "-"
@@ -461,11 +527,11 @@ def format_divergence(report: DivergenceReport,
         lines.append(head)
         for div in report.divergences:
             lines.append(
-                "  " + _clip(div.site(), site_width).ljust(site_width)
+                "  " + clip(div.site(), site_width).ljust(site_width)
                 + "  " + div.kind.rjust(8)
-                + "  " + _clip(_ordering_cell(div.a),
+                + "  " + clip(_ordering_cell(div.a),
                                ordering_width).ljust(ordering_width)
-                + "  " + _clip(_ordering_cell(div.b),
+                + "  " + clip(_ordering_cell(div.b),
                                ordering_width).ljust(ordering_width))
         first = report.first
         lines.append(f"first divergent choice: {first.site()} "

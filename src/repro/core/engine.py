@@ -35,8 +35,8 @@ from ..datalog.planner import ClausePlanner, check_plan_mode
 from ..datalog.seminaive import (EvalStats, RelationStore, evaluate_stratum,
                                  prepare_store)
 from ..datalog.trace import (EV_EVAL_END, EV_EVAL_START, EV_ID_CHOICE,
-                             EV_ID_MATERIALIZED, TeeTracer, Tracer,
-                             resolve_tracer)
+                             EV_ID_MATERIALIZED, Tracer, resolve_tracer,
+                             tee)
 from ..errors import EvaluationError, ReplayError
 from .assignment import (AssignmentStrategy, CanonicalAssignment,
                          RandomAssignment)
@@ -281,11 +281,9 @@ class IdlogEngine:
         """
         strategy = assignment or CanonicalAssignment()
         tracer = resolve_tracer(self.tracer)
-        if record is not None:
-            # A recorded run is a traced run: the log folds the
-            # evaluation's id_choice/id_materialized events.
-            tracer = record if tracer is None \
-                else TeeTracer([tracer, record])
+        # A recorded run is a traced run: the log folds the evaluation's
+        # id_choice/id_materialized events.
+        tracer = tee(tracer, record)
         provider = _StrategyIdProvider(
             strategy, self.compiled.tid_limits, self.use_group_limits,
             tracer=tracer)

@@ -166,10 +166,6 @@ class Literal:
         """The variables occurring in this literal."""
         return self.atom.vars
 
-    def negate(self) -> "Literal":
-        """Return the complementary literal."""
-        return Literal(self.atom, not self.positive)
-
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"not {self.atom}"
 
@@ -215,10 +211,6 @@ class Clause:
         """The choice atoms of the body."""
         return tuple(lit.atom for lit in self.body
                      if isinstance(lit.atom, ChoiceAtom))
-
-    def replace_body(self, body: tuple[Literal, ...]) -> "Clause":
-        """Return a copy of this clause with a different body."""
-        return Clause(self.head, body)
 
     def __str__(self) -> str:
         if not self.body:

@@ -340,11 +340,7 @@ class MetricsRegistry:
         """Register (or look up) a histogram family."""
         # Validate bounds eagerly — children are created lazily, and a bad
         # bucket list should fail at registration, not at first observe.
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if len(set(bounds)) != len(bounds):
-            raise ValueError("histogram bucket bounds must be distinct")
+        bounds = Histogram(self._lock, buckets).buckets
         return self._register(name, "histogram", help_text, labels,
                               buckets=bounds)
 

@@ -34,7 +34,6 @@ from .terms import Const, Term, Var
 
 _PUNCT = (":-", "<=", ">=", "!=", "(", ")", "[", "]", ",", ".",
           "<", ">", "=", "+", "-", "*", "/", "|")
-_ARITH_OPS = frozenset({"+", "-", "*", "/", "mod"})
 _COMPARISONS = frozenset({"<", "<=", ">", ">=", "=", "!="})
 
 

@@ -75,6 +75,17 @@ class EvalStats:
         """Total new tuples across all predicates."""
         return sum(self.derived.values())
 
+    def counters(self) -> dict[str, int]:
+        """The nine counters in their reporting order — the server's
+        ``stats`` object and the CLI's ``--stats`` line."""
+        return {"derived": self.total_derived, "firings": self.firings,
+                "probes": self.probes, "iterations": self.iterations,
+                "id_tuples": self.id_tuples,
+                "plans_built": self.plans_built,
+                "plans_reused": self.plans_reused,
+                "pipelines_compiled": self.pipelines_compiled,
+                "pipelines_reused": self.pipelines_reused}
+
     def count_derived(self, pred: str, n: int = 1) -> None:
         """Record ``n`` new tuples for ``pred``."""
         self.derived[pred] = self.derived.get(pred, 0) + n

@@ -38,10 +38,6 @@ class Stratification:
         """Number of strata."""
         return len(self.strata)
 
-    def stratum_of(self, pred: str) -> int:
-        """The stratum index of ``pred`` (EDB predicates are stratum 0)."""
-        return self.level.get(pred, 0)
-
 
 def stratify(program: Program) -> Stratification:
     """Stratify ``program`` or raise :class:`StratificationError`.

@@ -302,6 +302,16 @@ class TeeTracer:
             tracer.emit(kind, **fields)
 
 
+def tee(*tracers: Optional[Tracer]) -> Optional[Tracer]:
+    """One tracer for every given one that is not None: None for none,
+    the tracer itself for one, else a :class:`TeeTracer` — so a caller
+    with nothing to observe builds nothing."""
+    present = [tracer for tracer in tracers if tracer is not None]
+    if len(present) > 1:
+        return TeeTracer(present)
+    return present[0] if present else None
+
+
 #: Context fields a :class:`ContextTracer` stamps onto every event it
 #: forwards.  The server's request-scoped tracing uses exactly these —
 #: ``docs/OBSERVABILITY.md`` documents them and ``tests/test_docs.py``
@@ -312,20 +322,15 @@ CONTEXT_FIELDS = ("request_id", "session_id")
 class ContextTracer:
     """Stamp fixed context fields onto every event, then forward.
 
-    The server composes one per request around its shared tracer stack
-    (metrics fold + timing + optional JSONL), so every span event an
-    evaluation emits carries ``request_id``/``session_id`` —
-    attribution that a process-global tracer cannot provide when
-    sessions run concurrently.
-
-    Same zero-cost-when-off discipline as the rest of the module: a
-    :class:`ContextTracer` only exists while a request asked for (or
-    the server configured) per-request observability; with nothing
-    enabled the engines still see ``tracer=None`` and pay nothing.
+    The server wraps a traced request's JSONL sink in one, so every
+    span event the wire trace carries names its ``request_id`` and
+    ``session_id`` — attribution that a process-global tracer cannot
+    provide when sessions run concurrently.  Same zero-cost-when-off
+    discipline as the rest of the module: one only exists while a
+    request asked for a trace.
 
     Args:
-        inner: The tracer (often a :class:`TeeTracer`) receiving the
-            stamped events.
+        inner: The tracer receiving the stamped events.
         **context: The fields to stamp (``None`` values are dropped).
             Event payloads win on a field-name collision, so a kind
             that legitimately carries e.g. ``request_id`` itself is
@@ -688,7 +693,8 @@ class TimingTracer:
 
 # -- the EXPLAIN ANALYZE table ----------------------------------------------
 
-def _clip(text: str, width: int) -> str:
+def clip(text: str, width: int) -> str:
+    """``text`` cut to ``width`` characters, ``…`` marking a cut."""
     if len(text) <= width:
         return text
     return text[:width - 1] + "…"
@@ -784,9 +790,9 @@ def format_profile(profile: Profile,
             cells = (str(row.calls), _ms(row.wall_s), str(row.probes),
                      est_probes, _q_err_cell(row),
                      str(row.firings), str(row.new),
-                     _clip(plan, widths[7]), pipelines)
+                     clip(plan, widths[7]), pipelines)
             lines.append(
-                "  " + _clip(row.clause, clause_width).ljust(clause_width)
+                "  " + clip(row.clause, clause_width).ljust(clause_width)
                 + "  " + "  ".join(c.rjust(w)
                                    for c, w in zip(cells, widths)))
     totals = (f"total: {sum(c.calls for c in profile.clauses.values())} "

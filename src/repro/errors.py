@@ -12,6 +12,12 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class InputError(ReproError):
+    """Raised on malformed caller input — a choice-log entry with a
+    missing or ill-typed field, or a run asked to record and replay at
+    once.  The server answers it with ``bad_request``."""
+
+
 class ParseError(ReproError):
     """Raised when program text cannot be parsed.
 

@@ -37,13 +37,8 @@ def q_equivalent_on(first: ProgramLike, second: ProgramLike, pred: str,
     ``False`` result is a genuine witness of inequivalence; ``True`` only
     says no witness was found.
     """
-    first_engine = IdlogEngine(first)
-    second_engine = IdlogEngine(second)
-    for db in databases:
-        if first_engine.answers(db, pred, max_branches) != \
-                second_engine.answers(db, pred, max_branches):
-            return False
-    return True
+    return find_witness(first, second, pred, databases,
+                        max_branches) is None
 
 
 def find_witness(first: ProgramLike, second: ProgramLike, pred: str,

@@ -30,8 +30,9 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from ..errors import (EvaluationError, ParseError, ReplayError, ReproError,
-                      SafetyError, SchemaError, StratificationError)
+from ..errors import (EvaluationError, InputError, ParseError, ReplayError,
+                      ReproError, SafetyError, SchemaError,
+                      StratificationError)
 
 #: Bumped when the wire format changes incompatibly.  ``ping`` reports it
 #: so clients can refuse to talk across versions.
@@ -60,9 +61,9 @@ REQUEST_TYPES = (
 )
 
 #: Error types a response may carry.  ``bad_request`` covers malformed
-#: requests (unknown type, missing/ill-typed fields); ``internal`` is the
-#: catch-all for unexpected exceptions (the message names the exception
-#: class, never a traceback).
+#: requests (unknown type, missing/ill-typed fields, a malformed choice
+#: log); ``internal`` is the catch-all for unexpected exceptions (the
+#: message names the exception class, never a traceback).
 ERROR_TYPES = (
     "bad_request",
     "parse_error",
@@ -87,6 +88,7 @@ _EXCEPTION_MAP = (
     (StratificationError, "stratification_error"),
     (SchemaError, "schema_error"),
     (ReplayError, "replay_error"),
+    (InputError, "bad_request"),
     (EvaluationError, "evaluation_error"),
     (ReproError, "error"),
 )

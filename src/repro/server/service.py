@@ -30,6 +30,11 @@ Inline ``run {"program": ...}`` requests get the same treatment through
 a source-hash cache — the second identical inline program is a cache
 hit, visible in ``stats.pipelines_reused`` and the
 ``idlog_server_prepared_cache_total`` metric.
+
+Runs: the ``run`` handler parses the request, resolves the prepared
+engine and shapes the response around :func:`repro.core.run_program`,
+the entry point ``repro-idlog run`` shares for record, replay (checked
+against the recorded answers), digest and profile.
 """
 
 from __future__ import annotations
@@ -45,16 +50,16 @@ from dataclasses import dataclass, field as dataclass_field
 from time import perf_counter
 from typing import Optional
 
-from ..core import IdlogEngine
-from ..core.choicelog import ChoiceLog
+from ..core import (RUN_MODES, ChoiceLog, IdlogEngine, pick_queries,
+                    run_program)
 from ..datalog.database import Database
 from ..datalog.metrics import MetricsRegistry, MetricsTracer
 from ..datalog.parser import parse_program
 from ..datalog.planner import check_plan_mode
+from ..datalog.pool import GLOBAL_POOL
 from ..datalog.storage import STORAGE_FORMAT, load_database, save_database
 from ..datalog.trace import (MISESTIMATE_THRESHOLD, SCHEMA_VERSION,
-                             ContextTracer, JsonTracer, Profile,
-                             TeeTracer, TimingTracer)
+                             ContextTracer, JsonTracer, Profile)
 from ..obs.log import StructuredLogger, check_log_level
 from .protocol import (PROTOCOL_VERSION, REQUEST_TYPES, RequestError,
                        field, positive_number)
@@ -300,6 +305,12 @@ class IdlogService:
         self.m_slow = r.counter(
             "idlog_server_slow_requests_total",
             "Requests at or over the slow_ms threshold")
+        self.m_pool_constants = r.gauge(
+            "idlog_pool_constants",
+            "Constants interned in the process-wide constant pool")
+        self.m_pool_bytes = r.gauge(
+            "idlog_pool_approx_bytes",
+            "Approximate bytes held by the constant pool")
         self._requests_served = 0
         self._next_request = 0
         #: Structured log (stderr or ``config.log_path``); the transport
@@ -601,48 +612,11 @@ class IdlogService:
         return [list(row)
                 for row in sorted(rows, key=lambda r: tuple(map(repr, r)))]
 
-    @staticmethod
-    def _tuples(result, pred: str) -> frozenset:
-        """Answer tuples for ``pred`` — empty when nothing was derived
-        (the fixpoint materializes no relation for an empty head)."""
-        try:
-            return result.tuples(pred)
-        except KeyError:
-            return frozenset()
-
-    @staticmethod
-    def _stats_out(stats) -> dict:
-        return {"derived": stats.total_derived, "firings": stats.firings,
-                "probes": stats.probes, "iterations": stats.iterations,
-                "id_tuples": stats.id_tuples,
-                "plans_built": stats.plans_built,
-                "plans_reused": stats.plans_reused,
-                "pipelines_compiled": stats.pipelines_compiled,
-                "pipelines_reused": stats.pipelines_reused}
-
-    def _pick_queries(self, prepared: PreparedProgram,
-                      request: dict) -> list[str]:
-        heads = prepared.engine.program.head_predicates
-        query = field(request, "query", list, required=False)
-        if query is None:
-            return sorted(heads)
-        for pred in query:
-            if not isinstance(pred, str):
-                raise RequestError("bad_request",
-                                   "query must be a list of predicate "
-                                   "names")
-            if pred not in heads:
-                raise RequestError(
-                    "bad_request",
-                    f"{pred} is not an output predicate of the program "
-                    f"(outputs: {', '.join(sorted(heads)) or '-'})")
-        return list(query)
-
     def _handle_run(self, request: dict,
                     context: RequestContext) -> dict:
         session = self.session(request, context)
         mode = field(request, "mode", str, required=False, default="run")
-        if mode not in ("run", "one"):
+        if mode not in RUN_MODES:
             raise RequestError("bad_request",
                                "mode must be 'run' or 'one' (answers has "
                                "its own request type)")
@@ -650,79 +624,58 @@ class IdlogService:
         record = field(request, "record", bool, required=False,
                        default=False)
         replay_data = field(request, "replay", dict, required=False)
+        # Both checked before the session is touched: no program is
+        # compiled and no use counted for a request that cannot run.
+        if record and replay_data is not None:
+            raise RequestError("bad_request",
+                               "record and replay are mutually exclusive")
+        replay = None if replay_data is None \
+            else ChoiceLog.from_jsonable(replay_data)
         want_trace = field(request, "trace", bool, required=False,
                            default=False)
         want_profile = field(request, "profile", bool, required=False,
                              default=False)
-        if record and replay_data is not None:
-            raise RequestError("bad_request",
-                               "record and replay are mutually exclusive")
         # Per-request observability engages when the request asked for
-        # it (trace/profile) or the server captures slow queries; with
-        # all three off the engine keeps the shared metrics fold and the
-        # uninstrumented hot path — zero added cost.
+        # it or the server captures slow queries; with all three off the
+        # run keeps the shared metrics fold and the uninstrumented path.
         observing = (want_trace or want_profile
                      or self.config.slow_ms is not None)
+        trace_buf = io.StringIO() if want_trace else None
+        sinks = () if trace_buf is None else (ContextTracer(
+            JsonTracer(trace_buf), request_id=context.request_id,
+            session_id=session.id),)
         with session.lock:
             prepared = self._resolve_program(session, request)
             context.prepared = prepared.name
-            queries = self._pick_queries(prepared, request)
-            record_log = ChoiceLog(meta={
-                "session": session.id, "program": prepared.name,
-                "mode": mode, "seed": seed}) if record else None
-            # The digest log feeds the per-request choice-log digest;
-            # it is the client's record log when one was asked for, and
-            # a service-internal one otherwise.
-            digest_log = record_log
-            if observing and digest_log is None and replay_data is None:
-                digest_log = ChoiceLog(meta={
-                    "session": session.id, "request": context.request_id})
-            tracer, timing, trace_buf = self.tracer, None, None
-            if observing:
-                timing = TimingTracer()
-                parts = [self.tracer, timing]
-                if want_trace:
-                    trace_buf = io.StringIO()
-                    parts.append(JsonTracer(trace_buf))
-                tracer = ContextTracer(TeeTracer(parts),
-                                       request_id=context.request_id,
-                                       session_id=session.id)
-            engine = prepared.engine
+            queries = pick_queries(
+                prepared.engine.program,
+                field(request, "query", list, required=False))
             prepared.uses += 1
-            replay_log = None
-            try:
-                # The session lock serializes engine use, so re-pointing
-                # the prepared engine's tracer for one call is safe;
-                # restore the shared fold either way.
-                engine.tracer = tracer
-                if replay_data is not None:
-                    replay_log = ChoiceLog.from_jsonable(replay_data)
-                    result = engine.replay(session.db, replay_log)
-                elif mode == "one":
-                    result = engine.one(session.db, seed=seed,
-                                        record=digest_log)
-                else:
-                    result = engine.run(session.db, record=digest_log)
-            finally:
-                engine.tracer = self.tracer
+            # The session lock serializes engine use, so the run may
+            # re-point the prepared engine's tracer for its one call.
+            outcome = run_program(
+                prepared.engine, session.db, mode, seed, queries,
+                record={"session": session.id, "program": prepared.name,
+                        "mode": mode, "seed": seed} if record else None,
+                replay=replay, digest=observing, profile=observing,
+                sinks=sinks)
             out = {
                 "mode": mode,
                 "prepared": prepared.name,
                 "request_id": context.request_id,
-                "answers": {pred: self._rows_out(self._tuples(result, pred))
-                            for pred in queries},
-                "stats": self._stats_out(result.stats),
+                "answers": {
+                    pred: self._rows_out(outcome.result.tuples(pred))
+                    for pred in queries},
+                "stats": outcome.result.stats.counters(),
             }
-            source_log = replay_log if replay_data is not None \
-                else digest_log
-            if source_log is not None:
-                context.choice_digest = source_log.digest()
-                out["choice_digest"] = context.choice_digest
-            if timing is not None:
-                context.profile = timing.profile.as_dict()
+            if outcome.log is not None:
+                context.choice_digest = out["choice_digest"] = \
+                    outcome.digest
+            if outcome.profile is not None:
+                context.profile = outcome.profile.as_dict()
                 if want_profile:
                     out["profile"] = context.profile
-                plan_quality = timing.profile.plan_quality()
+                plan_quality = outcome.plan_quality()
                 if plan_quality["clauses"]:
                     out["plan_quality"] = plan_quality
                     context.plan_quality = {
@@ -733,22 +686,20 @@ class IdlogService:
                         "worst_clause":
                             plan_quality["clauses"][0]["clause"],
                     }
-                    self._fold_plan_quality(timing.profile)
+                    self._fold_plan_quality(outcome.profile)
             if trace_buf is not None:
                 out["trace"] = [json.loads(line) for line
                                 in trace_buf.getvalue().splitlines()]
-            if record_log is not None:
-                record_log.set_answers(
-                    {pred: self._tuples(result, pred) for pred in queries})
-                out["choice_log"] = record_log.to_jsonable()
-                out["id_choices"] = len(record_log)
+            if record:
+                out["choice_log"] = outcome.log.to_jsonable()
+                out["id_choices"] = len(outcome.log)
                 if self.config.choice_log_dir:
                     session.seq += 1
                     os.makedirs(self.config.choice_log_dir, exist_ok=True)
                     path = os.path.join(
                         self.config.choice_log_dir,
                         f"{session.id}-{session.seq:04d}.choices.jsonl")
-                    record_log.save(path)
+                    outcome.log.save(path)
                     out["choice_log_path"] = path
             context.counters = out["stats"]
             context.answers = {pred: len(rows)
@@ -915,9 +866,17 @@ class IdlogService:
 
     # -- export -------------------------------------------------------------
 
+    def _sample_pool(self) -> None:
+        """Set the pool gauges from the constant pool (the same figures
+        as ``Database.stats()``), once per render."""
+        pool = GLOBAL_POOL.stats()
+        self.m_pool_constants.set(pool["constants"])
+        self.m_pool_bytes.set(pool["approx_bytes"])
+
     def metrics_text(self) -> str:
         """Prometheus exposition of the whole registry (the ``/metrics``
         body)."""
+        self._sample_pool()
         return self.registry.to_prometheus()
 
     def flush_metrics(self) -> Optional[str]:
@@ -931,6 +890,7 @@ class IdlogService:
         path = self.config.metrics_path
         if not path:
             return None
+        self._sample_pool()
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(self.registry.render(self.config.metrics_format))

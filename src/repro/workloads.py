@@ -29,16 +29,8 @@ def employees(per_dept: int, departments: int,
               seed: int = 0) -> Database:
     """``emp(Name, Dept)`` (or ``emp(Name, Dept, Salary)``) with equal-size
     departments — the paper's running example at any scale."""
-    rng = random.Random(seed)
-    rows = []
-    for d in range(departments):
-        for i in range(per_dept):
-            row: tuple = (f"e{d}_{i}", f"dept{d}")
-            if salary_range is not None:
-                low, high = salary_range
-                row = row + (rng.randrange(low, high + 1),)
-            rows.append(row)
-    return Database.from_facts({"emp": rows})
+    return _grouped_employees([per_dept] * departments, salary_range,
+                              random.Random(seed))
 
 
 def zipf_group_sizes(groups: int, total: int, skew: float = 1.5) -> list[int]:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import (EvaluationError, ParseError, ReplayError,
-                          SafetyError, SchemaError, StratificationError)
+from repro.errors import (EvaluationError, InputError, ParseError,
+                          ReplayError, SafetyError, SchemaError,
+                          StratificationError)
 from repro.server.protocol import (ERROR_TYPES, REQUEST_TYPES, RequestError,
                                    ServerError, classify_exception, decode,
                                    encode, error_response, field,
@@ -65,6 +66,7 @@ class TestErrorClassification:
         (EvaluationError("x"), "evaluation_error"),
         (RequestError("unknown_session", "x"), "unknown_session"),
         (ValueError("x"), "internal"),
+        (InputError("x"), "bad_request"),
     ])
     def test_mapping(self, exc, expected):
         assert classify_exception(exc) == expected

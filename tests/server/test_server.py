@@ -190,6 +190,34 @@ class TestEvaluation:
                         record=True, replay={"records": []})
         assert err.value.error_type == "bad_request"
 
+    def test_replay_with_edited_answers_is_a_replay_error(self, client,
+                                                           session):
+        client.call("assert_facts", session=session,
+                    facts={"emp": EMP_ROWS})
+        recorded = client.call("run", session=session,
+                               program=SAMPLE_PROGRAM, mode="one",
+                               seed=2, record=True)
+        log = recorded["choice_log"]
+        log["answers"] = {"pick": [["zzz", "d9"]]}
+        with pytest.raises(ServerError) as err:
+            client.call("run", session=session, program=SAMPLE_PROGRAM,
+                        replay=log)
+        assert err.value.error_type == "replay_error"
+        assert "replayed answers for pick differ" in str(err.value)
+
+    @pytest.mark.parametrize("replay", [
+        {"choices": [{"pred": "emp"}]},
+        {"choices": [1]},
+        {"groupings": [{"x": 1}]},
+    ])
+    def test_malformed_replay_log_is_a_bad_request(self, client, session,
+                                                    replay):
+        with pytest.raises(ServerError) as err:
+            client.call("run", session=session, program=SAMPLE_PROGRAM,
+                        replay=replay)
+        assert err.value.error_type == "bad_request"
+        assert "choice log" in str(err.value)
+
     def test_answers(self, client, session):
         client.call("assert_facts", session=session,
                     facts={"emp": EMP_ROWS})

@@ -548,6 +548,31 @@ class TestRecordReplay:
         assert code == 1
         assert "database drifted under emp[2]" in capsys.readouterr().err
 
+    def test_replay_with_edited_answers_fails(self, program_file,
+                                              facts_file, tmp_path, capsys):
+        code, _, log = self.record(program_file, facts_file, tmp_path)
+        assert code == 0
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        lines[-1]["answers"] = {"select_two_emp": [["zzz"]]}
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        code, _ = run_cli("run", program_file, "-f", facts_file,
+                          "--replay", str(edited))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: replayed answers for select_two_emp differ")
+
+    def test_malformed_log_is_a_typed_error(self, program_file, facts_file,
+                                            tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"event":"id_choice","pred":"emp"}\n')
+        code, _ = run_cli("run", program_file, "-f", facts_file,
+                          "--replay", str(bad))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: choice log event 1: id_choice field")
+        assert "Traceback" not in err
+
     def test_canonical_mode_records_too(self, program_file, facts_file,
                                         tmp_path):
         log = tmp_path / "canonical.jsonl"

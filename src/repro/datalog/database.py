@@ -240,8 +240,9 @@ class Relation:
 
     # -- value-level mutation ------------------------------------------------
 
-    def _check_row(self, row: tuple[Value, ...]) -> None:
-        """Arity + sort validation (the old ``add`` contract)."""
+    def check_row(self, row: tuple[Value, ...]) -> None:
+        """Arity + sort validation: what :meth:`add` raises, without
+        interning the row's constants."""
         if len(row) != self.arity:
             raise SchemaError(
                 f"tuple {row!r} has arity {len(row)}, relation expects "
@@ -263,7 +264,7 @@ class Relation:
         Raises:
             SchemaError: on arity or sort mismatch.
         """
-        self._check_row(row)
+        self.check_row(row)
         return self.add_coded(tuple(map(_POOL.encode, row)))
 
     #: A bulk ``update`` at least this large (and bigger than half the

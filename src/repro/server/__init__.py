@@ -11,7 +11,7 @@ The layers, bottom-up (full reference: ``docs/SERVER.md``):
   graceful shutdown.  :class:`ServerThread` runs one in-process for
   tests and benchmarks.
 * :mod:`~repro.server.client` — blocking :class:`ServerClient` shared
-  by ``repro-idlog connect`` and ``benchmarks/bench_server.py``.
+  by ``repro-idlog connect``, the e2e benchmark and the tests.
 """
 
 from .client import ServerClient, http_get

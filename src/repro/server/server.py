@@ -38,7 +38,7 @@ from time import perf_counter
 from typing import Optional
 
 from .protocol import (RequestError, classify_exception, decode, encode,
-                       error_response, ok_response)
+                       error_response, ok_response, positive_number)
 from .service import IdlogService, ServerConfig
 
 #: asyncio streams default to a 64 KiB line limit — far too small for a
@@ -58,12 +58,11 @@ class DaemonWorkerPool:
     the process exit as soon as the graceful drain-and-flush completes.
     """
 
-    def __init__(self, max_workers: int,
-                 thread_name_prefix: str = "worker") -> None:
+    def __init__(self, max_workers: int) -> None:
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._threads = [
             threading.Thread(target=self._work, daemon=True,
-                             name=f"{thread_name_prefix}-{index}")
+                             name=f"idlog-worker-{index}")
             for index in range(max(1, max_workers))]
         for thread in self._threads:
             thread.start()
@@ -86,12 +85,10 @@ class DaemonWorkerPool:
             except BaseException as exc:  # delivered via the future
                 future.set_exception(exc)
 
-    def shutdown(self, wait: bool = False) -> None:
+    def shutdown(self) -> None:
+        """Stop the idle workers; busy ones exit after their item."""
         for _ in self._threads:
             self._queue.put(None)
-        if wait:
-            for thread in self._threads:
-                thread.join()
 
 
 def _key(request_id) -> str:
@@ -143,9 +140,7 @@ class IdlogServer:
         self._connections: set[_Connection] = set()
         self._stopping = asyncio.Event()
         self._stop_reason = ""
-        self.pool = DaemonWorkerPool(
-            max_workers=self.service.config.workers,
-            thread_name_prefix="idlog-worker")
+        self.pool = DaemonWorkerPool(self.service.config.workers)
         self.tcp_address: Optional[tuple[str, int]] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -201,12 +196,9 @@ class IdlogServer:
                 "draining", reason=self._stop_reason,
                 inflight=int(self.service.m_inflight.value),
                 drain_s=self.service.config.drain_s)
-            # Listeners stay bound through the drain: balancer health
-            # checks see an explicit 503 "draining" from /healthz
-            # (instead of connection refused), and new NDJSON requests
-            # get a typed `shutting_down` error per request.  The
-            # listeners close in the finally below, once the drain is
-            # over.
+            # Listeners stay bound through the drain, so /healthz
+            # answers 503 "draining" (not connection refused) and new
+            # requests get `shutting_down`; they close in the finally.
             await self._drain()
         finally:
             await self._close_connections()
@@ -219,7 +211,7 @@ class IdlogServer:
                     os.unlink(self.unix_path)
             self.service.close_all_sessions()
             self.service.flush_metrics()
-            self.pool.shutdown(wait=False)
+            self.pool.shutdown()
             self.service.log.info("stopped", reason=self._stop_reason)
             self.service.log.close()
             if install_signals:
@@ -322,11 +314,9 @@ class IdlogServer:
         task = loop.create_task(self._serve_request(conn, request, rid,
                                                     rtype, context))
         conn.inflight[_key(rid)] = task
-        # A cancel can land before the task's first step — the coroutine
-        # body then never runs, so ITS response guarantee never engages.
-        # This callback fills that gap: a task that ends in the
-        # cancelled state (vs. handling cancellation itself and ending
-        # normally) still gets its typed response.
+        # A cancel can land before the task's first step, when its body
+        # never runs: this callback still sends (and observes) the
+        # typed response of a task that ends in the cancelled state.
         task.add_done_callback(
             lambda t: self._respond_if_killed(conn, rid, rtype, t,
                                               context))
@@ -335,7 +325,6 @@ class IdlogServer:
                            task: asyncio.Task, context=None) -> None:
         if not task.cancelled():
             return
-        self.service.m_cancelled.inc()
         self.service.observe(rtype, "cancelled", 0.0, context)
         conn.inflight.pop(_key(rid), None)
         with contextlib.suppress(RuntimeError):  # loop already closing
@@ -363,13 +352,13 @@ class IdlogServer:
         status = "ok"
         try:
             try:
-                timeout = service.request_timeout(request)
+                timeout = positive_number(request, "timeout",
+                                          default=service.config.timeout_s)
                 future = asyncio.get_running_loop().run_in_executor(
                     self.pool, service.handle, request, context)
                 result = await asyncio.wait_for(future, timeout)
             except asyncio.TimeoutError:
                 status = "timeout"
-                service.m_timeouts.inc()
                 response = error_response(
                     rid, "timeout",
                     f"{rtype} exceeded its {timeout}s timeout; the worker "
@@ -377,7 +366,6 @@ class IdlogServer:
                     "discarded")
             except asyncio.CancelledError:
                 status = "cancelled"
-                service.m_cancelled.inc()
                 response = error_response(
                     rid, "cancelled", f"{rtype} was cancelled")
             except BaseException as exc:
@@ -426,10 +414,8 @@ class IdlogServer:
             code, reason = 404, "Not Found"
             ctype = "text/plain; charset=utf-8"
             body = f"no such path {path} (try /metrics or /healthz)\n"
-        # Known paths keep their own label whatever the status code (a
-        # draining /healthz is still a /healthz probe); everything else
-        # collapses into "other" so garbage paths cannot explode the
-        # label space.
+        # Known paths keep their label whatever the status code; the
+        # rest collapse into "other" so garbage cannot grow the labels.
         self.service.m_http.labels(
             path=path if path in ("/metrics", "/healthz") else "other"
         ).inc()
@@ -448,8 +434,9 @@ def serve(config: Optional[ServerConfig] = None,
           host: Optional[str] = "127.0.0.1", port: int = 0,
           unix_path: Optional[str] = None,
           ready=None) -> str:
-    """Blocking entry point: run a server until SIGINT/SIGTERM or a
-    ``shutdown`` request (what ``repro-idlog serve`` calls).
+    """Blocking entry point: run a server until a ``shutdown`` request
+    or, when called from the main thread, SIGINT/SIGTERM (what
+    ``repro-idlog serve`` and :class:`ServerThread` call).
 
     Args:
         ready: Optional callback invoked once with the
@@ -466,7 +453,9 @@ def serve(config: Optional[ServerConfig] = None,
         await server.start()
         if ready is not None:
             ready(server)
-        return await server.serve_until_shutdown(install_signals=True)
+        return await server.serve_until_shutdown(
+            install_signals=threading.current_thread()
+            is threading.main_thread())
 
     return asyncio.run(_main())
 
@@ -500,19 +489,13 @@ class ServerThread:
                                         name="idlog-server", daemon=True)
 
     def _run(self) -> None:
-        async def _main() -> None:
-            self.server = IdlogServer(
-                IdlogService(self.config), host=self._host,
-                port=self._port, unix_path=self._unix_path)
+        def ready(server: IdlogServer) -> None:
+            self.server = server
             self._loop = asyncio.get_running_loop()
-            try:
-                await self.server.start()
-            finally:
-                self._ready.set()
-            await self.server.serve_until_shutdown()
+            self._ready.set()
 
         try:
-            asyncio.run(_main())
+            serve(self.config, self._host, self._port, self._unix_path, ready)
         except BaseException as exc:  # surfaced by start()/__enter__
             self._error = exc
             self._ready.set()

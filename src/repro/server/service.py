@@ -1,40 +1,28 @@
 """The server's synchronous core: sessions, prepared programs, handlers.
 
 :class:`IdlogService` is everything the IDLOG server does *minus* the
-transport: it owns the per-session :class:`~repro.datalog.database.Database`
+transport: per-session :class:`~repro.datalog.database.Database`
 objects, the prepared-program cache, the metrics registry, and one
-handler per request type.  The asyncio layer
-(:mod:`repro.server.server`) is a thin shell that frames NDJSON lines,
-schedules :meth:`IdlogService.handle` onto a bounded worker pool, and
-adds the two transport-level request types (``cancel``, ``shutdown``).
+handler per request type.  The asyncio layer (:mod:`repro.server.server`)
+frames NDJSON lines, schedules :meth:`IdlogService.handle` onto a bounded
+worker pool, and adds the two transport-level types (``cancel``,
+``shutdown``).  Being synchronous, the core runs in-process without
+sockets (``IdlogService().handle({"type": "ping"})``) and states its
+locking: one :class:`threading.Lock` per session, so requests of
+different sessions run concurrently while one session's serialize.
 
-Keeping the core synchronous buys two things:
+``prepare`` compiles a program once and keeps an
+:class:`~repro.core.IdlogEngine` with ``persistent_caches=True``, so
+later runs reuse its clause pipelines and plans; inline ``run
+{"program": ...}`` source gets the same reuse through a source-hash
+cache.  The ``run`` handler shapes its response around
+:func:`repro.core.run_program`, the entry point ``repro-idlog run``
+shares for record, replay, digest and profile.
 
-* **In-process use** — tests (and the serve-vs-in-process differential)
-  drive the exact handler code without sockets:
-  ``IdlogService().handle({"type": "ping"})``.
-* **Honest concurrency** — evaluation is CPU-bound Python; the service
-  documents its locking (one :class:`threading.Lock` per session, one
-  registry lock) instead of pretending the event loop parallelizes it.
-
-Session isolation: every session owns its database, its prepared
-programs, and its ID-choice sequence numbers; two sessions never share
-mutable state, so requests of *different* sessions run concurrently on
-the worker pool while requests of one session serialize on its lock.
-
-Prepared programs: ``prepare`` compiles (parse + safety + stratify +
-plan scaffolding) once and keeps an :class:`~repro.core.IdlogEngine`
-with ``persistent_caches=True`` alive, so later ``run`` calls reuse the
-compiled clause pipelines and plans (their caches are keyed per clause).
-Inline ``run {"program": ...}`` requests get the same treatment through
-a source-hash cache — the second identical inline program is a cache
-hit, visible in ``stats.pipelines_reused`` and the
-``idlog_server_prepared_cache_total`` metric.
-
-Runs: the ``run`` handler parses the request, resolves the prepared
-engine and shapes the response around :func:`repro.core.run_program`,
-the entry point ``repro-idlog run`` shares for record, replay (checked
-against the recorded answers), digest and profile.
+When a request finishes, :meth:`IdlogService.observe` builds its one
+:class:`RequestEvent` and every per-request sink folds it: the request
+metrics, the ``recent`` ring, the slow log, the structured log and the
+``plans`` aggregate.
 """
 
 from __future__ import annotations
@@ -52,17 +40,16 @@ from typing import Optional
 
 from ..core import (RUN_MODES, ChoiceLog, IdlogEngine, pick_queries,
                     run_program)
-from ..datalog.database import Database
+from ..datalog.database import Database, Relation
 from ..datalog.metrics import MetricsRegistry, MetricsTracer
 from ..datalog.parser import parse_program
 from ..datalog.planner import check_plan_mode
 from ..datalog.pool import GLOBAL_POOL
 from ..datalog.storage import STORAGE_FORMAT, load_database, save_database
 from ..datalog.trace import (MISESTIMATE_THRESHOLD, SCHEMA_VERSION,
-                             ContextTracer, JsonTracer, Profile)
+                             ContextTracer, JsonTracer)
 from ..obs.log import StructuredLogger, check_log_level
-from .protocol import (PROTOCOL_VERSION, REQUEST_TYPES, RequestError,
-                       field, positive_number)
+from .protocol import PROTOCOL_VERSION, REQUEST_TYPES, RequestError, field
 
 #: Request-latency histogram buckets: 100µs .. 100s by decades — server
 #: round trips sit well above the engine's clause-level buckets.
@@ -140,16 +127,16 @@ class ServerConfig:
 
 @dataclass
 class RequestContext:
-    """Identity and timings of one request, threaded transport → engine.
+    """Identity, timings and attribution of one request in flight.
 
     The transport (:mod:`repro.server.server`) mints one per dispatched
     request via :meth:`IdlogService.new_context`; :meth:`IdlogService.handle`
-    stamps queue/handler timings and the evaluation handlers fill in
-    attribution (session, prepared program, counters, per-clause
-    profile, choice-log digest).  :meth:`IdlogService.observe` folds the
-    finished context into the recent-request ring buffer and — past the
-    ``slow_ms`` threshold — the slow-query log.  In-process callers may
-    omit it; :meth:`~IdlogService.handle` then mints a local one.
+    stamps the queue wait and the evaluation handlers fill in attribution
+    (session, prepared program, counters, answer sizes, per-clause
+    profile, choice-log digest, plan-quality report).  No sink reads it:
+    :meth:`IdlogService.observe` snapshots it into the request's one
+    :class:`RequestEvent`.  In-process callers may omit it;
+    :meth:`~IdlogService.handle` then mints a local one.
 
     Attributes:
         request_id: Server-assigned id (``r<n>``), unique per service;
@@ -157,8 +144,10 @@ class RequestContext:
             session id) on every span event via
             :class:`~repro.datalog.trace.ContextTracer`.
         wire_id: The client-chosen ``id`` field, echoed for correlation.
-        enqueued_s/started_s: ``perf_counter`` at transport dispatch /
-            handler start; their difference is the worker-queue wait.
+        enqueued_s: ``perf_counter`` at transport dispatch; the gap to
+            the handler start is the worker-queue wait ``queue_s``.
+        plan_quality: The run's :meth:`Profile.plan_quality` report,
+            set only when some clause carried planner estimates.
     """
 
     request_id: str
@@ -166,37 +155,60 @@ class RequestContext:
     wire_id: object = None
     ts: float = 0.0
     enqueued_s: float = 0.0
-    started_s: float = 0.0
     queue_s: float = 0.0
-    wall_s: float = 0.0
-    status: str = "pending"
     session: Optional[str] = None
     prepared: Optional[str] = None
     counters: Optional[dict] = None
     answers: Optional[dict] = None
     profile: Optional[dict] = dataclass_field(default=None, repr=False)
     choice_digest: Optional[str] = None
-    #: Compact plan-quality roll-up (median/max q-error, misestimate and
-    #: plan-drift counts, worst clause) — small enough for the ring.
-    plan_quality: Optional[dict] = None
+    plan_quality: Optional[dict] = dataclass_field(default=None, repr=False)
 
-    def summary(self) -> dict:
-        """The JSON-ready ring-buffer row (profile excluded: bulky)."""
+    def summary(self, status: str, wall_s: float) -> dict:
+        """The JSON-ready ``recent`` row (profile excluded: bulky), with
+        a compact roll-up of the plan-quality report."""
+        quality = self.plan_quality
         return {
-            "request_id": self.request_id,
-            "id": self.wire_id,
-            "type": self.rtype,
-            "session": self.session,
-            "prepared": self.prepared,
-            "status": self.status,
+            "request_id": self.request_id, "id": self.wire_id,
+            "type": self.rtype, "session": self.session,
+            "prepared": self.prepared, "status": status,
             "ts": round(self.ts, 3),
-            "wall_ms": round(self.wall_s * 1000.0, 3),
+            "wall_ms": round(wall_s * 1000.0, 3),
             "queue_ms": round(self.queue_s * 1000.0, 3),
-            "counters": self.counters,
-            "answers": self.answers,
+            "counters": self.counters, "answers": self.answers,
             "choice_digest": self.choice_digest,
-            "plan_quality": self.plan_quality,
+            "plan_quality": None if quality is None else {
+                "median_q_error": quality["median_q_error"],
+                "max_q_error": quality["max_q_error"],
+                "misestimates": quality["misestimates"],
+                "plan_drifts": quality["plan_drifts"],
+                "worst_clause": quality["clauses"][0]["clause"]},
         }
+
+
+@dataclass(frozen=True)
+class RequestEvent:
+    """One finished request: the record every per-request sink folds.
+
+    :meth:`IdlogService.observe` builds exactly one per request.
+    ``summary`` is the ``recent`` row (:meth:`RequestContext.summary`);
+    the transport's own ``cancel``/``shutdown`` requests have none and
+    count in the request metrics only.  ``plan_quality`` is the run's
+    full plan-quality report and ``profile`` its ``Profile.as_dict()``.
+    """
+
+    type: str
+    status: str
+    wall_s: float
+    slow: bool = False
+    summary: Optional[dict] = None
+    plan_quality: Optional[dict] = dataclass_field(default=None, repr=False)
+    profile: Optional[dict] = dataclass_field(default=None, repr=False)
+
+    @property
+    def plan_drifts(self) -> int:
+        """Mid-fixpoint join-order flips the run saw."""
+        return self.plan_quality["plan_drifts"] if self.plan_quality else 0
 
 
 class PreparedProgram:
@@ -329,6 +341,10 @@ class IdlogService:
         #: or slow-query capture on).
         self._plans_agg: dict[str, dict] = {}
         self._plan_requests = 0
+        #: The folds :meth:`observe` hands each :class:`RequestEvent` to.
+        self._sinks = [self._count_request, self._remember_recent,
+                       self._capture_slow, self._log_request,
+                       self._fold_plans]
 
     # -- dispatch -----------------------------------------------------------
 
@@ -338,10 +354,8 @@ class IdlogService:
         with self._lock:
             self._next_request += 1
             number = self._next_request
-        return RequestContext(
-            request_id=f"r{number}", rtype=rtype,
-            wire_id=request.get("id"),
-            ts=time.time(), enqueued_s=perf_counter())
+        return RequestContext(f"r{number}", rtype, request.get("id"),
+                              ts=time.time(), enqueued_s=perf_counter())
 
     def handle(self, request: dict,
                context: Optional[RequestContext] = None) -> dict:
@@ -372,10 +386,8 @@ class IdlogService:
                 "served over a live server connection")
         if context is None:
             context = self.new_context(request, rtype)
-        context.started_s = perf_counter()
         if context.enqueued_s:
-            context.queue_s = max(0.0,
-                                  context.started_s - context.enqueued_s)
+            context.queue_s = max(0.0, perf_counter() - context.enqueued_s)
         handler = getattr(self, f"_handle_{rtype}")
         result = handler(request, context)
         with self._lock:
@@ -384,54 +396,94 @@ class IdlogService:
 
     def observe(self, rtype: str, status: str, seconds: float,
                 context: Optional[RequestContext] = None) -> None:
-        """Record one transport-level request outcome.
-
-        Besides the metric families, a finished :class:`RequestContext`
-        lands in the recent-request ring buffer and — at or over the
-        ``slow_ms`` threshold — in the slow-query log.  A timed-out
-        request's context may still be mutating on its abandoned worker
-        thread; the summary snapshot simply reflects whatever the worker
-        had filled in by now.
-        """
-        self.m_requests.labels(type=rtype, status=status).inc()
-        self.m_request_duration.labels(type=rtype).observe(seconds)
-        if context is None:
-            return
-        context.status = status
-        context.wall_s = seconds
-        summary = context.summary()
-        with self._lock:
-            self._recent.append(summary)
+        """Build the finished request's one :class:`RequestEvent` and
+        hand it to every sink in turn.  A timed-out or cancelled
+        request's worker may still be filling in its context; the event
+        snapshots what is there now, and later writes reach no sink."""
         slow_ms = self.config.slow_ms
-        if slow_ms is not None and seconds * 1000.0 >= slow_ms:
-            self.m_slow.inc()
-            entry = {"event": "slow_request", "schema": SCHEMA_VERSION,
-                     **summary}
-            if context.profile is not None:
-                entry["profile"] = context.profile
-            self._append_slow(entry)
-            self.log.warning("slow_request", **summary)
-        elif self.log.enabled("debug"):
-            self.log.debug("request", **summary)
-        # Plan-drift audit log: a request whose re-costing flipped a
-        # cached clause order lands in the slow-query ring (and file)
-        # regardless of its wall time — order flips mid-fixpoint are
-        # rare and worth a post-mortem trail.
-        plan_quality = context.plan_quality
-        if plan_quality and plan_quality.get("plan_drifts"):
-            self._append_slow({"event": "plan_drift",
-                               "schema": SCHEMA_VERSION, **summary})
-            self.log.warning("plan_drift", **summary)
+        event = RequestEvent(rtype, status, seconds) if context is None \
+            else RequestEvent(
+                rtype, status, seconds,
+                slow_ms is not None and seconds * 1000.0 >= slow_ms,
+                context.summary(status, seconds), context.plan_quality,
+                context.profile)
+        for sink in self._sinks:
+            sink(event)
 
-    def _append_slow(self, entry: dict) -> None:
-        """Add one entry to the slow-query ring and, when configured,
-        append it to ``slow_log_path``."""
+    def _count_request(self, event: RequestEvent) -> None:
+        self.m_requests.labels(type=event.type, status=event.status).inc()
+        self.m_request_duration.labels(type=event.type).observe(
+            event.wall_s)
+        if event.status == "timeout":
+            self.m_timeouts.inc()
+        elif event.status == "cancelled":
+            self.m_cancelled.inc()
+        if event.slow:
+            self.m_slow.inc()
+
+    def _remember_recent(self, event: RequestEvent) -> None:
+        if event.summary is not None:
+            with self._lock:
+                self._recent.append(event.summary)
+
+    def _capture_slow(self, event: RequestEvent) -> None:
+        """The slow-query ring and ``slow_log_path``.  A request whose
+        re-costing flipped a cached clause order lands there as
+        ``plan_drift`` whatever its wall time: such flips are rare and
+        worth a post-mortem trail."""
+        entries = [{"event": kind, "schema": SCHEMA_VERSION, **event.summary}
+                   for kind, hit in (("slow_request", event.slow),
+                                     ("plan_drift", event.plan_drifts))
+                   if hit]
+        if not entries:
+            return
+        if event.slow and event.profile is not None:
+            entries[0]["profile"] = event.profile
         with self._slow_lock:
-            self._slow.append(entry)
+            self._slow.extend(entries)
             path = self.config.slow_log_path
             if path:
                 with open(path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
+                    handle.writelines(json.dumps(entry, sort_keys=True)
+                                      + "\n" for entry in entries)
+
+    def _log_request(self, event: RequestEvent) -> None:
+        if event.summary is None:
+            return
+        if event.slow:
+            self.log.warning("slow_request", **event.summary)
+        elif self.log.enabled("debug"):
+            self.log.debug("request", **event.summary)
+        if event.plan_drifts:
+            self.log.warning("plan_drift", **event.summary)
+
+    def _fold_plans(self, event: RequestEvent) -> None:
+        """The ``plans`` aggregate, from the run's estimate-bearing
+        clause rows; a clause's worst q-error is the larger of its probe
+        and worst-stage q-errors.  Bounded: past 4096 distinct clauses,
+        new clause texts are dropped, so a garbage client cannot grow
+        the aggregate without bound."""
+        if event.plan_quality is None:
+            return
+        with self._lock:
+            self._plan_requests += 1
+            for row in event.plan_quality["clauses"]:
+                agg = self._plans_agg.get(row["clause"])
+                if agg is None:
+                    if len(self._plans_agg) >= 4096:
+                        continue
+                    agg = self._plans_agg[row["clause"]] = {
+                        "clause": row["clause"], "stratum": row["stratum"],
+                        "requests": 0, "calls": 0, "est_probes": 0.0,
+                        "probes": 0, "worst_q_error": 0.0,
+                        "misestimates": 0, "plan_drifts": 0}
+                agg["requests"] += 1
+                for key in ("calls", "est_probes", "probes", "plan_drifts"):
+                    agg[key] += row[key]
+                agg["misestimates"] += row["misestimated"]
+                agg["worst_q_error"] = max(agg["worst_q_error"],
+                                           row["q_error"],
+                                           row["worst_stage_q_error"])
 
     # -- sessions -----------------------------------------------------------
 
@@ -493,8 +545,7 @@ class IdlogService:
         with session.lock:  # drain: no close mid-evaluation
             with self._lock:
                 self._sessions.pop(session.id, None)
-        self.m_sessions.dec()
-        self.m_prepared.dec(len(session.programs))
+        self._count_closed([session])
         return {"closed": session.id,
                 "prepared_dropped": len(session.programs)}
 
@@ -503,10 +554,12 @@ class IdlogService:
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
-        for session in sessions:
-            self.m_sessions.dec()
-            self.m_prepared.dec(len(session.programs))
+        self._count_closed(sessions)
         return len(sessions)
+
+    def _count_closed(self, sessions: list[Session]) -> None:
+        self.m_sessions.dec(len(sessions))
+        self.m_prepared.dec(sum(len(s.programs) for s in sessions))
 
     # -- data ---------------------------------------------------------------
 
@@ -515,26 +568,31 @@ class IdlogService:
         session = self.session(request, context)
         facts = field(request, "facts", dict, required=False, default={})
         udom = field(request, "udom", list, required=False, default=[])
-        for item in udom:
-            if not isinstance(item, str):
+        if not all(isinstance(item, str) for item in udom):
+            raise RequestError("bad_request", "udom entries must be strings")
+        for pred, rows in facts.items():
+            if not isinstance(pred, str) or not isinstance(rows, list):
                 raise RequestError(
-                    "bad_request", "udom entries must be strings")
+                    "bad_request",
+                    "facts must map predicate names to row lists")
+            if not all(isinstance(row, list) and all(
+                    isinstance(v, (str, int)) and not isinstance(v, bool)
+                    for v in row) for row in rows):
+                raise RequestError(
+                    "bad_request",
+                    f"rows of {pred} must be lists of strings/integers")
         with session.lock:
-            added = 0
+            # Every row meets its relation's arity and sort check before
+            # the first add, so a failing request leaves the session as
+            # it was.
             for pred, rows in facts.items():
-                if not isinstance(pred, str) or not isinstance(rows, list):
-                    raise RequestError(
-                        "bad_request",
-                        "facts must map predicate names to row lists")
-                for row in rows:
-                    if not isinstance(row, list) or not all(
-                            isinstance(v, (str, int))
-                            and not isinstance(v, bool) for v in row):
-                        raise RequestError(
-                            "bad_request",
-                            f"rows of {pred} must be lists of "
-                            "strings/integers")
-                    added += bool(session.db.add_fact(pred, tuple(row)))
+                if rows:
+                    old = session.db.relation_or_empty(pred, len(rows[0]))
+                    probe = Relation(old.arity, old.schema)
+                    for row in rows:
+                        probe.check_row(tuple(row))
+            added = sum(bool(session.db.add_fact(pred, tuple(row)))
+                        for pred, rows in facts.items() for row in rows)
             if udom:
                 session.udom.update(udom)
                 session.db = Database(
@@ -677,16 +735,8 @@ class IdlogService:
                     out["profile"] = context.profile
                 plan_quality = outcome.plan_quality()
                 if plan_quality["clauses"]:
-                    out["plan_quality"] = plan_quality
-                    context.plan_quality = {
-                        "median_q_error": plan_quality["median_q_error"],
-                        "max_q_error": plan_quality["max_q_error"],
-                        "misestimates": plan_quality["misestimates"],
-                        "plan_drifts": plan_quality["plan_drifts"],
-                        "worst_clause":
-                            plan_quality["clauses"][0]["clause"],
-                    }
-                    self._fold_plan_quality(outcome.profile)
+                    context.plan_quality = out["plan_quality"] = \
+                        plan_quality
             if trace_buf is not None:
                 out["trace"] = [json.loads(line) for line
                                 in trace_buf.getvalue().splitlines()]
@@ -705,39 +755,6 @@ class IdlogService:
             context.answers = {pred: len(rows)
                                for pred, rows in out["answers"].items()}
         return out
-
-    def _fold_plan_quality(self, profile: Profile) -> None:
-        """Fold one run's estimate-bearing clause rows into the ``plans``
-        aggregate.
-
-        Sums and maxima take the three-decimal values the run's
-        ``plan_quality`` block carries.  Bounded: once 4096 distinct
-        clauses have been seen, new clause texts are dropped (existing
-        ones keep accumulating) — a garbage client cannot grow the
-        aggregate without bound.
-        """
-        with self._lock:
-            self._plan_requests += 1
-            for c in profile.estimated_clauses():
-                agg = self._plans_agg.get(c.clause)
-                if agg is None:
-                    if len(self._plans_agg) >= 4096:
-                        continue
-                    agg = self._plans_agg[c.clause] = {
-                        "clause": c.clause,
-                        "stratum": c.stratum,
-                        "requests": 0, "calls": 0,
-                        "est_probes": 0.0, "probes": 0,
-                        "worst_q_error": 0.0,
-                        "misestimates": 0, "plan_drifts": 0}
-                agg["requests"] += 1
-                agg["calls"] += c.calls
-                agg["est_probes"] += round(c.est_probes, 3)
-                agg["probes"] += c.probes
-                agg["worst_q_error"] = max(agg["worst_q_error"],
-                                           round(c.q_error, 3))
-                agg["misestimates"] += c.misestimated
-                agg["plan_drifts"] += c.plan_drifts
 
     def _handle_answers(self, request: dict,
                         context: RequestContext) -> dict:
@@ -813,11 +830,16 @@ class IdlogService:
                 "timeout_s": self.config.timeout_s,
                 "slow_ms": self.config.slow_ms}
 
-    def _handle_recent(self, request: dict,
-                       context: RequestContext) -> dict:
-        limit = field(request, "limit", int, required=False, default=50)
+    @staticmethod
+    def _limit(request: dict, default: int) -> int:
+        limit = field(request, "limit", int, required=False, default=default)
         if limit < 1:
             raise RequestError("bad_request", "limit must be >= 1")
+        return limit
+
+    def _handle_recent(self, request: dict,
+                       context: RequestContext) -> dict:
+        limit = self._limit(request, 50)
         with self._lock:
             items = list(self._recent)[-limit:]
             served = self._requests_served
@@ -828,9 +850,7 @@ class IdlogService:
 
     def _handle_plans(self, request: dict,
                       context: RequestContext) -> dict:
-        limit = field(request, "limit", int, required=False, default=20)
-        if limit < 1:
-            raise RequestError("bad_request", "limit must be >= 1")
+        limit = self._limit(request, 20)
         with self._lock:
             rows = sorted(self._plans_agg.values(),
                           key=lambda r: (-r["worst_q_error"], r["clause"]))
@@ -846,23 +866,13 @@ class IdlogService:
 
     def _handle_slowlog(self, request: dict,
                         context: RequestContext) -> dict:
-        limit = field(request, "limit", int, required=False, default=50)
-        if limit < 1:
-            raise RequestError("bad_request", "limit must be >= 1")
+        limit = self._limit(request, 50)
         with self._slow_lock:
             entries = list(self._slow)[-limit:]
         return {"slow_ms": self.config.slow_ms,
                 "path": self.config.slow_log_path,
                 "count": len(entries),
                 "entries": entries[::-1]}  # newest first
-
-    # -- timeouts -----------------------------------------------------------
-
-    def request_timeout(self, request: dict) -> Optional[float]:
-        """The effective timeout for one request (request field, else the
-        configured default, else None = unlimited)."""
-        return positive_number(request, "timeout",
-                               default=self.config.timeout_s)
 
     # -- export -------------------------------------------------------------
 

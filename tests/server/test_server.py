@@ -60,6 +60,22 @@ def slow_edges(n: int = 600) -> list[list[str]]:
     return [[f"n{i}", f"n{i + 1}"] for i in range(n)]
 
 
+def metric(server, sample: str) -> float:
+    """One sample's value in the server's exposition (0 when absent)."""
+    for line in server.service.metrics_text().splitlines():
+        if line.startswith(sample + " "):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
+def terminal_counts(server) -> dict:
+    """The counters a timed-out or cancelled run moves."""
+    return {sample: metric(server, sample) for sample in (
+        "idlog_server_timeouts_total", "idlog_server_cancelled_total",
+        'idlog_server_requests_total{type="run",status="timeout"}',
+        'idlog_server_requests_total{type="run",status="cancelled"}')}
+
+
 class TestBasics:
     def test_ping(self, client):
         result = client.call("ping")
@@ -111,6 +127,26 @@ class TestBasics:
             client.call("assert_facts", session=session,
                         facts={"emp": [[["nested"]]]})
         assert err.value.error_type == "bad_request"
+
+    @pytest.mark.parametrize("facts, error_type", [
+        ({"emp": [["a", "d1"], ["b", 1.5]]}, "bad_request"),
+        ({"emp": [["a", "d1"], ["b", "d2", "x"]]}, "schema_error"),
+        ({"emp": [["a", "d1"], ["b", 2]]}, "schema_error"),
+        ({"edge": [["x", "y"], ["x"]]}, "schema_error"),
+        ({"emp": [["a", "d1"]], "edge": [["x", 1]]}, "schema_error"),
+    ], ids=["bad-value", "arity", "sort", "existing-arity",
+            "second-predicate"])
+    def test_failed_assert_facts_writes_nothing(self, client, session,
+                                                facts, error_type):
+        client.call("assert_facts", session=session,
+                    facts={"edge": [["a", "b"]]})
+        before = client.call("stats", session=session)
+        with pytest.raises(ServerError) as err:
+            client.call("assert_facts", session=session, facts=facts)
+        assert err.value.error_type == error_type
+        assert client.call("stats", session=session) == before
+        result = client.call("run", session=session, program=TC_PROGRAM)
+        assert result["answers"]["path"] == [["a", "b"]]
 
     def test_stats(self, client, session):
         client.call("assert_facts", session=session,
@@ -327,21 +363,34 @@ class TestRobustness:
             client.call("run", session="s999999", program=TC_PROGRAM)
         assert err.value.error_type == "unknown_session"
 
-    def test_request_timeout(self, client, session):
+    def test_request_timeout(self, server, client, session):
         client.call("assert_facts", session=session,
                     facts={"edge": slow_edges()})
+        before = terminal_counts(server)
         with pytest.raises(ServerError) as err:
             client.call("run", session=session, program=TC_PROGRAM,
-                        timeout=0.01)
+                        timeout=0.01, id="timed-out-run")
         assert err.value.error_type == "timeout"
         # the connection and session both survive the timeout
         assert client.call("ping")["pong"] is True
+        # both counters derive from the one event's status
+        after = terminal_counts(server)
+        assert {k: after[k] - before[k] for k in after} == {
+            "idlog_server_timeouts_total": 1,
+            "idlog_server_cancelled_total": 0,
+            'idlog_server_requests_total{type="run",status="timeout"}': 1,
+            'idlog_server_requests_total{type="run",status="cancelled"}':
+                0}
+        recent = client.call("recent", limit=128)["requests"]
+        assert [e["status"] for e in recent
+                if e["id"] == "timed-out-run"] == ["timeout"]
 
-    def test_cancel_inflight_request(self, client, session):
+    def test_cancel_inflight_request(self, server, client, session):
         client.call("assert_facts", session=session,
                     facts={"edge": slow_edges()})
+        before = terminal_counts(server)
         run_id = client.send({"type": "run", "session": session,
-                              "program": TC_PROGRAM})
+                              "program": TC_PROGRAM, "id": "cancelled-run"})
         cancel_id = client.send({"type": "cancel", "target": run_id})
         by_id = {}
         while len(by_id) < 2:
@@ -351,6 +400,16 @@ class TestRobustness:
         assert by_id[run_id]["ok"] is False
         assert by_id[run_id]["error"]["type"] == "cancelled"
         assert client.call("ping")["pong"] is True
+        after = terminal_counts(server)
+        assert {k: after[k] - before[k] for k in after} == {
+            "idlog_server_timeouts_total": 0,
+            "idlog_server_cancelled_total": 1,
+            'idlog_server_requests_total{type="run",status="timeout"}': 0,
+            'idlog_server_requests_total{type="run",status="cancelled"}':
+                1}
+        recent = client.call("recent", limit=128)["requests"]
+        assert [e["status"] for e in recent
+                if e["id"] == "cancelled-run"] == ["cancelled"]
 
     def test_cancel_unknown_target(self, client):
         result = client.call("cancel", target=424242)
